@@ -30,7 +30,8 @@ __all__ = [
     "equal_power_demand_bound",
 ]
 
-# Eigenvalues below this fraction of the largest one do not count toward rank.
+# Y's eigenvalues are exactly 0 and 1, so rank counts those above this
+# absolute level (a relative one counts rounding noise when N_t = 1).
 RANK_EIG_THRESHOLD = 1e-9
 
 
@@ -80,7 +81,7 @@ def kkt_certificate(
     comp = float(np.linalg.norm(y @ q))
 
     eig_y = np.linalg.eigvalsh(y)
-    rank_y = int(np.sum(eig_y > RANK_EIG_THRESHOLD * max(eig_y[-1], 0.0)))
+    rank_y = int(np.sum(eig_y > RANK_EIG_THRESHOLD))
     y_psd_residual = float(max(0.0, -eig_y[0]))
 
     eig_q = np.linalg.eigvalsh(q)

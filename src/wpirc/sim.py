@@ -8,6 +8,7 @@ complex Gaussians anchored to a nominal SNR in dB.
 from __future__ import annotations
 
 import csv
+import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -18,6 +19,8 @@ from .model import ChannelRealization, SolveStatus, SystemParams, comm_rate, rad
 from .solver import solve
 
 __all__ = ["SweepConfig", "SweepRow", "sample_channel", "run_sweep", "write_csv"]
+
+logger = logging.getLogger(__name__)
 
 H_VARIANCE = 0.2  # per-entry variance of the station-to-transmitter gains
 
@@ -132,7 +135,12 @@ def _solve_rows(config: SweepConfig, trial: int) -> list[SweepRow]:
                 energy, tau1, tau2 = sol.energy, sol.tau1, sol.tau2
                 mi = radar_mi(sol.gamma, chan.radar_snr, sol.tau2, params.delta_f)
                 rate = comm_rate(sol.gamma, chan.comm_snr, sol.tau2, params.delta_f)
-            except Exception:
+            except Exception as exc:
+                # the row keeps the CSV contract; the cause goes to the log
+                logger.exception(
+                    "%s solve failed (trial %d, seed %d, %s=%g): %s",
+                    scheme, trial, seed, config.sweep_variable, value, exc,
+                )
                 status = SolveStatus.ERROR.value
                 energy = tau1 = tau2 = mi = rate = float("nan")
             rows.append(

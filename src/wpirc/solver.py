@@ -10,6 +10,7 @@ maximum-ratio direction, leaving a scalar feasibility function of
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -107,10 +108,15 @@ def _gamma_profile(
     if np.any(both):
         a = v[both] * w[both]
         b = v[both] + w[both] - A[both] * w[both] - B[both] * v[both]
-        disc = b * b - 4.0 * a * c[both]
-        # larger quadratic root in the cancellation-free form; b + sqrt(disc)
-        # is strictly positive because disc > b^2 when c < 0
-        x[both] = -2.0 * c[both] / (b + np.sqrt(disc))
+        cb = c[both]
+        root = np.hypot(b, 2.0 * np.sqrt(-a * cb))  # sqrt(b^2 - 4ac) > |b|, no overflow
+        # larger quadratic root, in the form without cancellation for the
+        # sign of b (b + root cancels when b < 0, at high water levels)
+        up = b >= 0.0
+        xb = np.empty_like(b)
+        xb[up] = -2.0 * cb[up] / (b[up] + root[up])
+        xb[~up] = (root[~up] - b[~up]) / (2.0 * a[~up])
+        x[both] = xb
     if np.any(single):
         gain = np.where(v[single] > 0, v[single], w[single])
         scale = np.where(v[single] > 0, 1.0 - B[single], 1.0 - A[single])
@@ -143,14 +149,16 @@ def _water_level(snr: np.ndarray, target_logsum: float) -> float:
     v = np.sort(snr[snr > 0])[::-1]
     if v.size == 0:
         raise SolverError("rate floor demanded over an all-zero SNR vector")
-    prefix = np.cumsum(np.log2(v))
-    for k in range(1, v.size + 1):
-        exponent = (target_logsum - prefix[k - 1]) / k
-        a = np.inf if exponent > 1000.0 else 2.0 ** exponent
-        if a * v[k - 1] >= 1.0 - 1e-14 and (k == v.size or a * v[k] < 1.0):
-            return a
-    # fall back to the all-active candidate (boundary rounding)
-    return 2.0 ** ((target_logsum - prefix[-1]) / v.size)
+    exponent = (target_logsum - np.cumsum(np.log2(v))) / np.arange(1, v.size + 1)
+    # candidate level with the k strongest subcarriers active (inf past 2**1000)
+    a = np.full(v.size, np.inf)
+    finite = exponent <= 1000.0
+    a[finite] = np.power(2.0, exponent[finite])
+    # consistent when the k-th subcarrier is above water and the (k+1)-th is not
+    consistent = a * v >= 1.0 - 1e-14
+    consistent[:-1] &= a[:-1] * v[1:] < 1.0
+    # without a consistent candidate (boundary rounding) all are active
+    return float(a[np.argmax(consistent)] if consistent.any() else a[-1])
 
 
 def _single_constraint_gamma(
@@ -169,13 +177,16 @@ def inner_allocation(
     chan: ChannelRealization,
     params: SystemParams,
     options: SolverOptions = DEFAULT_OPTIONS,
+    start: Optional[DualPair] = None,
 ) -> InnerResult:
     """Minimize total transmit-phase energy subject to both rate floors.
 
     Returns the optimal ``gamma`` together with the dual pair that
     regenerates it through :func:`subcarrier_gamma`.  The two
     single-constraint cases are solved in closed form first; only when
-    both floors bind does a nested root search on the multipliers run.
+    both floors bind does the safeguarded Newton search of
+    :func:`_both_floor_multipliers` run, starting from ``start`` (for
+    example the duals of a nearby ``tau2``) when it is given.
     """
     if tau2 <= 0:
         raise ValueError("tau2 must be positive")
@@ -196,10 +207,13 @@ def inner_allocation(
     tol_r = options.dual_tol * max(1.0, r_r)
     tol_c = options.dual_tol * max(1.0, r_c)
 
+    # a water level past 2**1000 means no finite profile meets that floor
     lam_r1 = lam_c1 = 0.0
     if r_r > 0.0:
         g1, level_a = _single_constraint_gamma(v, 2.0 * r_r / (df * tau2), tau2)
         lam_r1 = level_a * 2.0 * LN2 / df
+        if math.isinf(level_a):
+            return InnerResult(g1, DualPair(lam_r1, 0.0), math.inf, "mi")
         if rate(g1) >= r_c - tol_c:
             duals = DualPair(lam_r1, 0.0)
             res = _kkt_residual(duals, g1, mi(g1), rate(g1), r_r, r_c)
@@ -207,51 +221,173 @@ def inner_allocation(
     if r_c > 0.0:
         g2, level_b = _single_constraint_gamma(w, r_c / (df * tau2), tau2)
         lam_c1 = level_b * LN2 / df
+        if math.isinf(level_b):
+            return InnerResult(g2, DualPair(0.0, lam_c1), math.inf, "rate")
         if mi(g2) >= r_r - tol_r:
             duals = DualPair(0.0, lam_c1)
             res = _kkt_residual(duals, g2, mi(g2), rate(g2), r_r, r_c)
             return InnerResult(g2, duals, res, "rate")
 
-    # Both constraints active: outer root search on lambda_r with the data
-    # multiplier matched to its floor at every probe.  The single-constraint
-    # multipliers bracket both searches: adding the other multiplier only
-    # raises every subcarrier's water level.
-    def lambda_c_for(lr: float) -> float:
-        def slack(lc: float) -> float:
-            return rate(_gamma_profile(lr, lc, v, w, tau2, df)) - r_c
-
-        if slack(0.0) >= 0.0:
-            return 0.0
-        hi = lam_c1
-        for _ in range(options.max_bisect):
-            if slack(hi) >= 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise SolverError("failed to bracket the data-rate multiplier")
-        return brentq(slack, 0.0, hi, xtol=1e-300, rtol=1e-13, maxiter=options.max_bisect)
-
-    def mi_gap(lr: float) -> float:
-        lc = lambda_c_for(lr)
-        return mi(_gamma_profile(lr, lc, v, w, tau2, df)) - r_r
-
-    lo, hi = 0.0, lam_r1
-    if mi_gap(hi) < 0.0:
-        for _ in range(options.max_bisect):
-            lo, hi = hi, hi * 2.0
-            if mi_gap(hi) >= 0.0:
-                break
-        else:
-            raise SolverError("failed to bracket the sensing multiplier")
-    lam_r = brentq(mi_gap, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=options.max_bisect)
-    lam_c = lambda_c_for(lam_r)
-    gamma = _gamma_profile(lam_r, lam_c, v, w, tau2, df)
+    lam_r, lam_c, gamma = _both_floor_multipliers(
+        v, w, tau2, df, r_r, r_c, lam_r1, lam_c1, start, options
+    )
     duals = DualPair(lam_r, lam_c)
     res = _kkt_residual(duals, gamma, mi(gamma), rate(gamma), r_r, r_c)
     if res > 1e3 * options.dual_tol:
         raise SolverError(f"inner allocation did not converge (residual {res:.3e})")
-    active = "both" if lam_c > 0.0 else "mi"
-    return InnerResult(gamma, duals, res, active)
+    return InnerResult(gamma, duals, res, "both")
+
+
+def _floor_jacobian(
+    lambda_r: float,
+    lambda_c: float,
+    v: np.ndarray,
+    w: np.ndarray,
+    tau2: float,
+    delta_f: float,
+) -> tuple[np.ndarray, float, float, float, float, float]:
+    """Profile, sensing MI, data rate, and the slopes of (MI, rate) in the
+    multipliers.
+
+    Implicit differentiation of ``p + q = 1`` with ``p = A/(1 + x v)`` and
+    ``q = B/(1 + x w)`` gives ``dx/dlambda_r = p / (lambda_r D)`` and
+    ``dx/dlambda_c = q / (lambda_c D)`` on each active subcarrier, with
+    ``D = p v/(1 + x v) + q w/(1 + x w)``.  The returned slopes ``J_rr =
+    dMI/dlambda_r``, ``J_rc = dMI/dlambda_c = drate/dlambda_r`` and ``J_cc
+    = drate/dlambda_c`` form the negative Hessian of
+    :func:`inner_dual_value`, which is positive semidefinite.
+    """
+    gamma = _gamma_profile(lambda_r, lambda_c, v, w, tau2, delta_f)
+    x = gamma / tau2
+    on = x > 0.0
+    va, wa = v[on], w[on]
+    xv, xw = x[on] * va, x[on] * wa
+    ev, ew = 1.0 + xv, 1.0 + xw
+    p_per = delta_f * va / (2.0 * LN2 * ev)  # p / lambda_r
+    q_per = delta_f * wa / (LN2 * ew)  # q / lambda_c
+    d = lambda_r * p_per * va / ev + lambda_c * q_per * wa / ew
+    # log1p keeps the floors accurate when x v or x w is far below 1
+    mi = 0.5 * delta_f * tau2 * float(np.sum(np.log1p(xv))) / LN2
+    rate = delta_f * tau2 * float(np.sum(np.log1p(xw))) / LN2
+    j_rr = tau2 * float(np.sum(p_per * p_per / d))
+    j_rc = tau2 * float(np.sum(p_per * q_per / d))
+    j_cc = tau2 * float(np.sum(q_per * q_per / d))
+    return gamma, mi, rate, j_rr, j_rc, j_cc
+
+
+def _log_mid(lo: float, hi: float, top: float) -> float:
+    """Bisection point of ``(lo, hi)`` in log scale.  With ``lo = 0`` each
+    call squares ``hi / top``, so a root many decades below the initial
+    bound ``top`` is bracketed in a few steps."""
+    return math.sqrt(lo * hi) if lo > 0.0 else hi * min(0.5, hi / top)
+
+
+def _log_step(lam: float, step: float) -> float:
+    """``lam + step`` taken in ``log(lam)``: positive, and exact where the
+    floors grow like ``log(lam)`` (high SNR)."""
+    ratio = step / lam
+    return lam * math.exp(ratio) if ratio < 700.0 else math.inf
+
+
+def _both_floor_multipliers(
+    v: np.ndarray,
+    w: np.ndarray,
+    tau2: float,
+    df: float,
+    r_r: float,
+    r_c: float,
+    lam_r1: float,
+    lam_c1: float,
+    start: Optional[DualPair],
+    options: SolverOptions,
+) -> tuple[float, float, np.ndarray]:
+    """Multipliers at which both floors hold with equality.
+
+    A Newton search on ``(MI, rate) = (r_r, r_c)`` in log-multipliers,
+    safeguarded by brackets.  The root lies in ``(0, lam_r1) x (0,
+    lam_c1)``, the single-floor multipliers: adding the other multiplier
+    only raises every water level.  Let ``c(lambda_r)`` be the data
+    multiplier that meets the rate floor for a given ``lambda_r``; it
+    decreases in ``lambda_r``, and ``MI(lambda_r, c(lambda_r))`` increases.
+    So a point where MI falls short while the rate floor holds (or the
+    reverse) bounds ``lambda_r`` from below (above), and any point bounds
+    ``c`` at its own ``lambda_r``.
+
+    From a bracketing point, and from any point while the Newton steps keep
+    lowering the normalized residual, the full 2-D step is taken with
+    ``lambda_r`` confined to its bracket (log-scale bisection when the step
+    leaves it) and ``lambda_c`` moved to the linearized data floor.
+    Otherwise ``lambda_c`` alone steps towards ``c(lambda_r)`` within its
+    bracket, which reaches a bracketing point.  The search stops when both
+    Newton corrections are below 1e-13 relative, or one step after each
+    floor is met to ``dual_tol * max(1, floor)`` or has its multiplier
+    settled to that precision.  ``max_bisect`` caps the iterations, one
+    profile evaluation each.
+    """
+    nan = math.nan
+    top_r, top_c = 2.0 * lam_r1, 2.0 * lam_c1  # the bounds, widened for rounding
+    lo_r, hi_r = 0.0, top_r
+    lo_c, hi_c = 0.0, top_c  # bracket of c(lam_r) at the current lam_r
+    lam_r, lam_c = lam_r1, lam_c1
+    if start is not None:
+        if 0.0 < start.lambda_r < lam_r1:
+            lam_r = start.lambda_r
+        if 0.0 < start.lambda_c < lam_c1:
+            lam_c = start.lambda_c
+    tol_r = options.dual_tol * max(1.0, r_r)  # as in _kkt_residual
+    tol_c = options.dual_tol * max(1.0, r_c)
+    newton_res = math.inf  # residual where the last 2-D step started
+    polished = False
+    for _ in range(options.max_bisect):
+        gamma, mi, rate, j_rr, j_rc, j_cc = _floor_jacobian(lam_r, lam_c, v, w, tau2, df)
+        e_r, e_c = mi - r_r, rate - r_c
+        det = j_rr * j_cc - j_rc * j_rc
+        d_r = (j_rc * e_c - j_cc * e_r) / det if det > 0.0 else nan
+        d_c = (j_rc * e_r - j_rr * e_c) / det if det > 0.0 else nan
+        # a multiplier is settled when its floor is met to tolerance or
+        # its Newton correction is below what a double resolves
+        fixed_r, fixed_c = abs(d_r) <= 1e-13 * lam_r, abs(d_c) <= 1e-13 * lam_c
+        if (abs(e_r) <= tol_r or fixed_r) and (abs(e_c) <= tol_c or fixed_c):
+            if polished or (fixed_r and fixed_c) or not det > 0.0:
+                return lam_r, lam_c, gamma
+            polished = True  # one more step sharpens the duals quadratically
+        res = max(abs(e_r) / tol_r, abs(e_c) / tol_c)
+
+        if e_c > 0.0:
+            hi_c = lam_c
+        elif e_c < 0.0:
+            lo_c = lam_c
+        if j_cc > 0.0 and abs(e_c) <= max(tol_c, 1e-13 * lam_c * j_cc):
+            # on the data curve (within tolerance, or within what lam_c can
+            # resolve, where the sign of e_c is rounding noise): the MI gap
+            # of c(lam_r) is e_r corrected to first order for e_c
+            short = e_r - j_rc / j_cc * e_c <= 0.0
+            over = not short
+        else:
+            short = e_r <= 0.0 <= e_c
+            over = e_c <= 0.0 <= e_r or (e_r >= 0.0 and lam_r > lam_r1)
+        if short:
+            lo_r = lam_r
+        elif over:
+            hi_r = lam_r
+        elif res >= newton_res:
+            new_c = _log_step(lam_c, -e_c / j_cc) if j_cc > 0.0 else nan
+            lam_c = new_c if lo_c < new_c < hi_c else _log_mid(lo_c, hi_c, top_c)
+            continue
+        newton_res = res
+
+        new_r = _log_step(lam_r, d_r) if det > 0.0 else nan
+        if not lo_r < new_r < hi_r:
+            new_r = _log_mid(lo_r, hi_r, top_r)
+        d_r, lam_r = new_r - lam_r, new_r
+        # c(lam_r) moves against lam_r: one side of its bracket survives
+        if d_r > 0.0:
+            lo_c = 0.0
+        elif d_r < 0.0:
+            hi_c = top_c
+        new_c = _log_step(lam_c, -(e_c + j_rc * d_r) / j_cc) if j_cc > 0.0 else nan
+        lam_c = new_c if lo_c < new_c < hi_c else _log_mid(lo_c, hi_c, top_c)
+    raise SolverError("multiplier search for both rate floors did not converge")
 
 
 def _kkt_residual(
@@ -399,23 +535,23 @@ def solve_with_allocation(
         return Solution.empty(SolveStatus.INFEASIBLE, params)
 
     total_time = params.total_time
-    cache: dict[float, float] = {}
+    profiles: dict[float, tuple[np.ndarray, float]] = {}
 
-    def demand(t2: float) -> float:
-        if t2 not in cache:
-            cache[t2] = float(np.sum(allocator(t2)))
-        return cache[t2]
+    def profile(t2: float) -> tuple[np.ndarray, float]:
+        if t2 not in profiles:
+            gamma = allocator(t2)
+            profiles[t2] = (gamma, float(np.sum(gamma)))
+        return profiles[t2]
 
     def phi(t2: float) -> float:
-        return demand(t2) - budget_rate * (total_time - t2)
+        return profile(t2)[1] - budget_rate * (total_time - t2)
 
     tau2 = _largest_phi_root(phi, total_time, options)
     if tau2 is None:
         return Solution.empty(SolveStatus.INFEASIBLE, params)
 
     tau1 = total_time - tau2
-    gamma = allocator(tau2)
-    total = float(np.sum(gamma))
+    gamma, total = profile(tau2)  # phi(tau2) was evaluated on the way out
     q_bar, trace = mrt_covariance(h, total, params.efficiency)
     beam = rank_one_extract(q_bar, tau1)
     return Solution(
@@ -434,10 +570,18 @@ def solve(
     chan: ChannelRealization,
     options: SolverOptions = DEFAULT_OPTIONS,
 ) -> Solution:
-    """Jointly optimal time split, subcarrier energies and beamformer."""
+    """Jointly optimal time split, subcarrier energies and beamformer.
+
+    Each inner allocation starts its multiplier search from the duals of
+    the previous ``tau2`` probe.
+    """
+    last = DualPair(0.0, 0.0)
 
     def allocator(t2: float) -> np.ndarray:
-        return inner_allocation(t2, chan, params, options).gamma
+        nonlocal last
+        res = inner_allocation(t2, chan, params, options, start=last)
+        last = res.duals
+        return res.gamma
 
     return solve_with_allocation(params, chan, allocator, options)
 

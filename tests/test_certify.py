@@ -84,6 +84,19 @@ class TestKktCertificate:
             if sol.status is SolveStatus.OPTIMAL:
                 assert kkt_certificate(params, chan, sol).valid
 
+    def test_single_antenna_optima_certify(self):
+        # with N_t = 1, Y = 1 - |h|^2/||h||^2 is rounding noise (1.1e-16 on
+        # these seeds); a rank threshold relative to Y's largest eigenvalue
+        # counted it as rank one and rejected valid optima
+        params = make_params(n_subcarriers=16, n_antennas=1, mi_floor=20.0, rate_floor=20.0)
+        for seed in (8, 10, 14):
+            chan = sample_channel(seed, params, 10.0, 10.0)
+            sol = solve(params, chan)
+            assert sol.status is SolveStatus.OPTIMAL
+            cert = kkt_certificate(params, chan, sol)
+            assert cert.rank_y == 0
+            assert cert.valid
+
 
 class TestRankOneExtract:
     def test_exact_rank_one(self, rng):

@@ -1,10 +1,13 @@
 import csv
+import logging
 
 import numpy as np
 import pytest
 
 from wpirc import SolveStatus, SweepConfig, run_sweep, sample_channel, write_csv
+import wpirc.sim
 from wpirc.sim import CSV_COLUMNS, H_VARIANCE, SweepRow, trial_seed
+from wpirc.solver import SolverError
 
 from conftest import make_params
 
@@ -109,6 +112,19 @@ class TestRunSweep:
     def test_threaded_sweep_matches_serial(self):
         cfg = self.small_config()
         assert run_sweep(cfg, threads=4) == run_sweep(cfg, threads=1)
+
+    def test_failed_solve_is_logged_with_its_cause(self, monkeypatch, caplog):
+        def diverge(params, chan):
+            raise SolverError("multiplier search diverged")
+
+        monkeypatch.setattr(wpirc.sim, "solve", diverge)
+        with caplog.at_level(logging.ERROR, logger="wpirc.sim"):
+            rows = run_sweep(self.small_config(sweep_values=(10.0,), trials=1))
+        assert [(r.scheme, r.status) for r in rows] == [("eq", "optimal"), ("op", "error")]
+        assert np.isnan(rows[1].energy)
+        (record,) = caplog.records
+        assert "multiplier search diverged" in record.getMessage()
+        assert record.exc_info[0] is SolverError
 
     def test_rejects_unsorted_sweep_values(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -15,7 +17,12 @@ from wpirc import (
     solve,
     subcarrier_gamma,
 )
-from wpirc.solver import InfeasibleSignalError, inner_dual_value
+from wpirc.solver import (
+    InfeasibleSignalError,
+    _water_level,
+    inner_dual_value,
+    solve_with_allocation,
+)
 from wpirc.sim import sample_channel
 
 from conftest import make_params
@@ -69,6 +76,62 @@ class TestSubcarrierGamma:
         got = subcarrier_gamma(duals, 0.0, 2.0, 1e-4, DF)
         # x = (A + B - 1)/w = (3 - 1)/2 = 1
         assert got == pytest.approx(1e-4, rel=1e-12)
+
+
+def water_level_loop(snr, target_logsum):
+    """The per-candidate loop that the vectorized water level replaced."""
+    v = np.sort(snr[snr > 0])[::-1]
+    prefix = np.cumsum(np.log2(v))
+    for k in range(1, v.size + 1):
+        exponent = (target_logsum - prefix[k - 1]) / k
+        a = np.inf if exponent > 1000.0 else 2.0**exponent
+        if a * v[k - 1] >= 1.0 - 1e-14 and (k == v.size or a * v[k] < 1.0):
+            return a
+    return 2.0 ** ((target_logsum - prefix[-1]) / v.size)
+
+
+class TestWaterLevel:
+    # same candidates and tests; only the power of two may round differently
+    RTOL = 1e-13
+
+    def random_snr(self, rng):
+        n = int(rng.integers(1, 40))
+        snr = 10.0 ** rng.uniform(-6, 6, n)
+        snr[rng.random(n) < 0.2] = 0.0
+        snr[0] = max(snr[0], 1e-3)
+        return snr
+
+    def test_matches_loop_on_random_inputs(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(500):
+                snr = self.random_snr(rng)
+                target = float(rng.uniform(-100.0, 3000.0))
+                assert _water_level(snr, target) == pytest.approx(
+                    water_level_loop(snr, target), rel=self.RTOL
+                )
+
+    def test_active_set_boundaries(self, rng):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for _ in range(50):
+                snr = self.random_snr(rng)
+                v = np.sort(snr[snr > 0])[::-1]
+                prefix = np.cumsum(np.log2(v))
+                k = np.arange(1, v.size + 1)
+                # targets at which subcarrier k+1 sits exactly at the water line
+                edges = prefix[:-1] - k[:-1] * np.log2(v[1:])
+                all_active = prefix[-1] + 50.0 * v.size
+                one_active = 0.5 * edges[0] if v.size > 1 else 1.0
+                overflow = 2e3 * v.size
+                for target in (all_active, one_active, *edges, overflow):
+                    got = _water_level(snr, float(target))
+                    assert got == pytest.approx(water_level_loop(snr, target), rel=self.RTOL)
+                assert _water_level(snr, float(all_active)) * v[-1] > 1.0
+                one = _water_level(snr, float(one_active))
+                assert one * v[0] >= 1.0
+                assert v.size == 1 or one * v[1] < 1.0
+                assert _water_level(snr, float(overflow)) == np.inf
 
 
 class TestInnerAllocation:
@@ -258,6 +321,21 @@ class TestSolve:
             h=2.0 * chan.h, radar_snr=chan.radar_snr, comm_snr=chan.comm_snr
         )
         assert solve(base, boosted).energy <= e0 + 1e-15
+
+    def test_allocator_runs_once_per_probe(self):
+        # the profile at the optimal tau2 comes from the root search's cache
+        params = make_params(n_subcarriers=8, n_antennas=3, mi_floor=25.0, rate_floor=30.0)
+        chan = sample_channel(1, params, 10.0, 10.0)
+        probes = []
+
+        def allocator(t2):
+            probes.append(t2)
+            return inner_allocation(t2, chan, params).gamma
+
+        sol = solve_with_allocation(params, chan, allocator)
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.tau2 in probes
+        assert len(probes) == len(set(probes))
 
     def test_inner_demand_nonincreasing_in_tau2(self):
         params = make_params(n_subcarriers=4, mi_floor=20.0, rate_floor=30.0)
