@@ -20,6 +20,7 @@ from .model import (
     comm_rate,
     radar_mi,
 )
+from .solver import mrt_covariance
 
 __all__ = [
     "Certificate",
@@ -213,8 +214,6 @@ def brute_force_oracle(
     Only intended for tiny instances: the cost grows as
     ``gamma_steps ** n_subcarriers * tau2_steps``.
     """
-    from .solver import mrt_covariance
-
     nc = params.n_subcarriers
     if nc > 3:
         raise ValueError("oracle limited to at most 3 subcarriers")

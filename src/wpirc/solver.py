@@ -1,12 +1,13 @@
 """Minimum-energy solver: water-filling inner allocation, analytic
-maximum-ratio beamforming, and an outer root search on the time split.
+maximum-ratio beamforming, and an outer Newton search on the time split.
 
 The problem is reduced in two stages.  For a fixed transmit slot ``tau2``
 the cheapest per-subcarrier energy profile ``gamma`` is found by solving
 the two-constraint water-filling problem in its Lagrangian dual (one
 multiplier per rate floor).  The beamforming block then collapses to the
-maximum-ratio direction, leaving a scalar feasibility function of
-``tau2`` whose largest root gives the optimal time split.
+maximum-ratio direction, leaving a scalar convex feasibility function of
+``tau2`` whose largest root gives the optimal time split; the duals of the
+inner allocation give its slope.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     LN2,
@@ -454,76 +454,63 @@ def mrt_covariance(
 
 
 def _largest_phi_root(
-    phi: Callable[[float], float],
+    phi: Callable[[float], tuple[float, float]],
     total_time: float,
     options: SolverOptions,
 ) -> Optional[float]:
-    """Largest root of the convex feasibility function on (0, T).
+    """Largest root of the convex feasibility margin on (0, T).
 
-    Returns None when ``phi`` is positive on the whole interval.  A
-    golden-section descent locates a nonpositive point (early exit on the
-    first one found); bisection then walks to the rightmost root.
+    ``phi(t)`` returns the margin and its slope.  Newton steps start at
+    ``T``, where the margin is positive.  Every tangent of a convex function
+    lies below it, so each tangent root sits at or right of the largest root
+    and the margin stays positive on the iterates until a step crosses it.
+    A step shorter than ``time_tol * T`` is lengthened to that, which
+    crosses a simple root, and the first iterate with a nonpositive margin
+    is returned.
+
+    Returns None when the margin is positive on all of (0, T].  Each exit
+    is a certificate, since the tangent at an iterate bounds the margin
+    from below left of it: the margin is not finite there, or its slope is
+    not positive, or the tangent root is not positive.  A near-tangent
+    instance whose steps stall below ``time_tol * T`` with a positive margin
+    ends on one of these (or on the ``max_bisect`` cap) and counts as
+    infeasible: no feasible interval wider than ``time_tol * T`` was passed.
     """
-    t_hi = total_time * (1.0 - 1e-9)
-    if phi(t_hi) <= 0.0:
-        lo, up = t_hi, total_time  # phi(T) > 0 whenever demand is positive
-    else:
-        lo = _find_nonpositive(phi, total_time * 1e-12, t_hi, options)
-        if lo is None:
-            return None
-        up = t_hi
     xtol = options.time_tol * total_time
-    root = brentq(phi, lo, up, xtol=xtol, rtol=1e-15, maxiter=options.max_bisect)
-    # step back to the feasible (nonpositive) side of the root if needed
+    t = total_time
+    value, slope = phi(t)
     for _ in range(options.max_bisect):
-        if phi(root) <= 0.0:
-            return root
-        root -= xtol
-    raise SolverError("failed to land on the feasible side of the time split")
-
-
-def _find_nonpositive(
-    phi: Callable[[float], float], a: float, b: float, options: SolverOptions
-) -> Optional[float]:
-    """Golden-section search for any point with phi <= 0 on [a, b]."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = phi(c), phi(d)
-    for _ in range(options.max_bisect):
-        if fc <= 0.0:
-            return c
-        if fd <= 0.0:
-            return d
-        if b - a <= options.time_tol * max(b, 1e-300):
+        if not (math.isfinite(value) and slope > 0.0):
             return None
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = phi(d)
+        step = max(value / slope, xtol)
+        if step >= t:
+            return None
+        t -= step
+        value, slope = phi(t)
+        if value <= 0.0:
+            return t
     return None
 
 
 def solve_with_allocation(
     params: SystemParams,
     chan: ChannelRealization,
-    allocator: Callable[[float], np.ndarray],
+    allocator: Callable[[float], tuple[np.ndarray, float]],
     options: SolverOptions = DEFAULT_OPTIONS,
 ) -> Solution:
     """Outer time-split search shared by the optimal and benchmark schemes.
 
-    ``allocator(tau2)`` returns the cheapest per-subcarrier energy profile
-    that the scheme allows at that transmit-slot length.  The optimal slot
-    is the largest root of ``phi(tau2) = sum(gamma) - eta ||h||^2 P (T -
-    tau2)``; at that point the harvest constraint is met with equality by
-    the maximum-ratio covariance.
+    ``allocator(tau2)`` returns ``(gamma, slope)``: the cheapest
+    per-subcarrier energy profile that the scheme allows at that
+    transmit-slot length, and ``slope = d sum(gamma) / d tau2`` (any
+    subgradient where the demand has a kink).  A floor that no finite
+    profile meets is reported as infinite demand.  The demand is convex in
+    ``tau2``, so ``phi(tau2) = sum(gamma) - eta ||h||^2 P (T - tau2)`` is
+    too, and the optimal slot is its largest root (:func:`_largest_phi_root`,
+    one allocator call per probe).  There the harvest constraint is met with
+    equality by the maximum-ratio covariance ``c h h^H``, whose beam is
+    ``sqrt(S / (eta ||h||^4 tau1)) h`` up to a global phase.
     """
-    from .certify import rank_one_extract
-
     _validate_instance(params, chan)
     if params.mi_floor == 0.0 and params.rate_floor == 0.0:
         return Solution.empty(SolveStatus.ZERO_DEMAND, params)
@@ -535,25 +522,25 @@ def solve_with_allocation(
         return Solution.empty(SolveStatus.INFEASIBLE, params)
 
     total_time = params.total_time
-    profiles: dict[float, tuple[np.ndarray, float]] = {}
+    probe: tuple[np.ndarray, float] = (np.zeros(0), 0.0)
 
-    def profile(t2: float) -> tuple[np.ndarray, float]:
-        if t2 not in profiles:
-            gamma = allocator(t2)
-            profiles[t2] = (gamma, float(np.sum(gamma)))
-        return profiles[t2]
-
-    def phi(t2: float) -> float:
-        return profile(t2)[1] - budget_rate * (total_time - t2)
+    def phi(t2: float) -> tuple[float, float]:
+        nonlocal probe
+        gamma, slope = allocator(t2)
+        probe = gamma, float(np.sum(gamma))
+        return probe[1] - budget_rate * (total_time - t2), slope + budget_rate
 
     tau2 = _largest_phi_root(phi, total_time, options)
     if tau2 is None:
         return Solution.empty(SolveStatus.INFEASIBLE, params)
 
     tau1 = total_time - tau2
-    gamma, total = profile(tau2)  # phi(tau2) was evaluated on the way out
+    gamma, total = probe  # the search returns its last probe
     q_bar, trace = mrt_covariance(h, total, params.efficiency)
-    beam = rank_one_extract(q_bar, tau1)
+    # the phase of certify.rank_one_extract: first nonvanishing entry real
+    lead = h[np.flatnonzero(np.abs(h) > 1e-12 * math.sqrt(hn2))[0]]
+    scale = math.sqrt(total / (params.efficiency * hn2 * hn2 * tau1))
+    beam = (scale * np.conj(lead) / abs(lead)) * h
     return Solution(
         status=SolveStatus.OPTIMAL,
         beam_vector=beam,
@@ -565,6 +552,33 @@ def solve_with_allocation(
     )
 
 
+def _demand_slope(
+    res: InnerResult, tau2: float, chan: ChannelRealization, params: SystemParams
+) -> float:
+    """Slope ``d sum(gamma) / d tau2`` of the inner allocation's optimum.
+
+    By the envelope theorem it is the ``tau2``-derivative of the Lagrangian
+    at the optimal profile and duals.  A floor term ``tau2 log1p(y)`` with
+    ``y = gamma snr / tau2`` has derivative ``log1p(y) - y / (1 + y)`` in
+    ``tau2``, so the slope is ``-lambda_r (delta_f / 2) sum[...]_v / ln 2 -
+    lambda_c delta_f sum[...]_w / ln 2``.  An unreachable floor (infinite
+    residual, infinite demand) has slope ``-inf``.
+    """
+    if math.isinf(res.stationarity_residual):
+        return -math.inf
+    x = res.gamma / tau2
+
+    def floor_slope(snr: np.ndarray) -> float:
+        y = x * snr
+        return float(np.sum(np.log1p(y) - y / (1.0 + y))) / LN2
+
+    df = params.delta_f
+    return -(
+        res.duals.lambda_r * 0.5 * df * floor_slope(chan.radar_snr)
+        + res.duals.lambda_c * df * floor_slope(chan.comm_snr)
+    )
+
+
 def solve(
     params: SystemParams,
     chan: ChannelRealization,
@@ -573,15 +587,16 @@ def solve(
     """Jointly optimal time split, subcarrier energies and beamformer.
 
     Each inner allocation starts its multiplier search from the duals of
-    the previous ``tau2`` probe.
+    the previous ``tau2`` probe, and its duals give the slope of the
+    demand (:func:`_demand_slope`) for the outer Newton step.
     """
     last = DualPair(0.0, 0.0)
 
-    def allocator(t2: float) -> np.ndarray:
+    def allocator(t2: float) -> tuple[np.ndarray, float]:
         nonlocal last
         res = inner_allocation(t2, chan, params, options, start=last)
         last = res.duals
-        return res.gamma
+        return res.gamma, _demand_slope(res, t2, chan, params)
 
     return solve_with_allocation(params, chan, allocator, options)
 

@@ -19,6 +19,7 @@ from wpirc import (
 )
 from wpirc.solver import (
     InfeasibleSignalError,
+    _demand_slope,
     _water_level,
     inner_dual_value,
     solve_with_allocation,
@@ -323,14 +324,15 @@ class TestSolve:
         assert solve(base, boosted).energy <= e0 + 1e-15
 
     def test_allocator_runs_once_per_probe(self):
-        # the profile at the optimal tau2 comes from the root search's cache
+        # the profile at the optimal tau2 is the root search's last probe
         params = make_params(n_subcarriers=8, n_antennas=3, mi_floor=25.0, rate_floor=30.0)
         chan = sample_channel(1, params, 10.0, 10.0)
         probes = []
 
         def allocator(t2):
             probes.append(t2)
-            return inner_allocation(t2, chan, params).gamma
+            res = inner_allocation(t2, chan, params)
+            return res.gamma, _demand_slope(res, t2, chan, params)
 
         sol = solve_with_allocation(params, chan, allocator)
         assert sol.status is SolveStatus.OPTIMAL
