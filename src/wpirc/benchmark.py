@@ -25,44 +25,61 @@ _LOG_MAX = math.log(sys.float_info.max)
 
 
 def _common_gamma(
-    snr: np.ndarray, floor: float, tau2: float, delta_f: float, half: bool, max_iter: int
-) -> tuple[float, float]:
+    snr: np.ndarray, floor: float, tau2, delta_f: float, half: bool, max_iter: int
+) -> tuple:
     """Smallest common per-subcarrier energy meeting one rate floor, and its
     slope in ``tau2``.
 
     The common level ``x = gamma / tau2`` solves ``F(u) = sum log1p(e^u s)
     = target`` in ``u = log x``, with ``target = floor ln 2 / (delta_f
     tau2)``, doubled for the sensing MI and its 1/2 prefactor.  ``F`` is
-    convex and increasing, and ``sum log(e^u s) <= F(u)`` over ``s > 0``
-    makes ``u0 = (target - sum log s) / N+`` an upper bound on the root.
-    Newton steps from there fall monotonically and every iterate meets the
-    floor.  A start at which ``e^u s`` overflows means that no finite energy
-    meets the floor: the level is then ``inf``.  Implicit differentiation
-    of ``F(u) = target`` gives the slope ``x (1 - target / F'(u))``.
-    ``max_iter`` caps the Newton steps.
+    convex and increasing.  Over ``s > 0``, ``sum log(e^u s) <= F(u)`` makes
+    ``u0 = (target - sum log s) / N+`` an upper bound on the root, and
+    ``log1p(z) >= 2z / (2 + z)`` gives ``F >= 2xS / (2 + x s_max)`` with
+    ``S = sum s``, so ``x = 2 target / (2S - target s_max)`` is one too
+    where it is positive; the iteration starts at the smaller.  Newton
+    steps from there fall monotonically and every iterate meets the floor.
+    As ``F'' <= F'``, a step of size ``d`` leaves an error under ``d^2 / 2``,
+    so the iteration ends after a step under 1e-8, the rounding-level step
+    up from a gap just below zero included; ``max_iter`` caps the steps.
+    A start at which ``e^u`` or ``e^u s`` overflows means that no finite
+    energy meets the floor: the level is then ``inf``.  Implicit
+    differentiation of ``F(u) = target`` gives the slope ``x (1 - target /
+    F'(u))``, with ``F'`` taken at the returned level.
+
+    ``tau2`` may be an array: every element runs the same iteration at once
+    and stops on its own rule, and both results take its shape.
     """
+    t2 = np.asarray(tau2, dtype=float)
     if floor <= 0.0:
-        return 0.0, 0.0
+        return np.zeros_like(t2)[()], np.zeros_like(t2)[()]
     s = snr[snr > 0]
     if s.size == 0:
         raise SolverError("rate floor demanded over an all-zero SNR vector")
-    target = (2.0 if half else 1.0) * floor * LN2 / (delta_f * tau2)
-    log_s = np.log(s)
-    u = (target - float(np.sum(log_s))) / s.size
-    if not u + float(np.max(log_s)) < _LOG_MAX:
-        return math.inf, -math.inf
+    flat = t2.reshape(-1)
+    target = (2.0 if half else 1.0) * floor * LN2 / delta_f / flat
+    s_max = float(np.maximum.reduce(s))
+    u0 = (target - float(np.add.reduce(np.log(s)))) / s.size
+    # 1 / x of the second bound where it holds (inv > 0); elsewhere u0 stands
+    inv = float(np.add.reduce(s)) / target - 0.5 * s_max
+    u = np.minimum(u0, -np.log(inv, out=-u0, where=inv > 0.0))
+    finite = u < _LOG_MAX - max(math.log(s_max), 0.0)
+    u = np.where(finite, u, 0.0)  # kept harmless while the finite levels iterate
+    live = finite
     for _ in range(max_iter):
-        xs = math.exp(u) * s
-        gap = float(np.sum(np.log1p(xs))) - target
-        grad = float(np.sum(xs / (1.0 + xs)))
-        if not gap > 0.0:
+        xs = np.exp(u)[:, None] * s
+        grad = np.add.reduce(xs / (1.0 + xs), 1)
+        if not np.count_nonzero(live):
             break
-        step = gap / grad
+        step = (np.add.reduce(np.log1p(xs), 1) - target) / grad * live
         u -= step
-        if step <= 1e-13 * max(1.0, abs(u)):
-            break
-    x = math.exp(u)
-    return tau2 * x, x * (1.0 - target / grad)
+        live = step > 1e-8
+    x = np.exp(u)
+    # a level near the float limit can have a slope past it: that reads -inf
+    with np.errstate(over="ignore"):
+        gamma = np.where(finite, flat * x, math.inf)
+        slope = np.where(finite, x * (1.0 - target / grad), -math.inf)
+    return gamma.reshape(t2.shape)[()], slope.reshape(t2.shape)[()]
 
 
 def _equal_power_allocation(
@@ -79,7 +96,7 @@ def _equal_power_allocation(
         _common_gamma(chan.comm_snr, params.rate_floor, tau2, df, False, cap),
     )
     n = params.n_subcarriers
-    return np.full(n, gamma), n * slope
+    return np.full(n, gamma), n * float(slope)
 
 
 def eq_solve(

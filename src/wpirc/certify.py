@@ -8,6 +8,7 @@ reference the solver is validated against.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,10 +18,9 @@ from .model import (
     Solution,
     SolveStatus,
     SystemParams,
-    comm_rate,
-    radar_mi,
 )
-from .solver import mrt_covariance
+from .benchmark import _common_gamma
+from .solver import DEFAULT_OPTIONS, SolverError, mrt_covariance
 
 __all__ = [
     "Certificate",
@@ -153,48 +153,29 @@ def equal_power_demand_bound(
 ) -> float:
     """Upper bound on the optimal total transmit-phase energy.
 
-    For every time split on the oracle's grid, bisect the common
-    per-subcarrier energy meeting both rate floors and keep the cheapest
-    budget-feasible equal-power point.  Any optimal allocation does at
-    least as well, so this bounds each gamma coordinate; it is the
-    natural ``gamma_max`` for :func:`brute_force_oracle`.  Returns
-    ``inf`` when no equal-power point is feasible.
+    On every time split of the oracle's grid, the cheapest common
+    per-subcarrier energy that meets both rate floors is the larger of the
+    two floors' equal-power levels, each found for the whole grid at once
+    by the Newton iteration of :func:`wpirc.benchmark._common_gamma`.  The
+    cheapest budget-feasible equal-power point bounds the optimum, and so
+    each gamma coordinate; it is the natural ``gamma_max`` for
+    :func:`brute_force_oracle`.  Returns ``inf`` when no equal-power point
+    is feasible, a positive floor over an all-zero SNR vector included.
     """
-    nc = params.n_subcarriers
-    hn2 = float(np.real(np.vdot(chan.h, chan.h)))
-    budget_rate = params.efficiency * hn2 * params.power_cap
     total_time = params.total_time
-
-    def common_gamma(tau2: float) -> float:
-        def ok(g: float) -> bool:
-            gv = np.full(nc, g)
-            return (
-                radar_mi(gv, chan.radar_snr, tau2, params.delta_f) >= params.mi_floor
-                and comm_rate(gv, chan.comm_snr, tau2, params.delta_f) >= params.rate_floor
-            )
-
-        hi = tau2
-        for _ in range(200):
-            if ok(hi):
-                break
-            hi *= 2.0
-        else:
-            return np.inf
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            if ok(mid):
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    best = np.inf
-    for tau2 in np.linspace(total_time / tau2_steps, total_time, tau2_steps):
-        demand = nc * common_gamma(tau2)
-        if demand <= budget_rate * (total_time - tau2):
-            best = min(best, demand)
-    return best
+    tau2 = np.linspace(total_time / tau2_steps, total_time, tau2_steps)
+    df, cap = params.delta_f, DEFAULT_OPTIONS.max_bisect
+    try:
+        level = np.maximum(
+            _common_gamma(chan.radar_snr, params.mi_floor, tau2, df, True, cap)[0],
+            _common_gamma(chan.comm_snr, params.rate_floor, tau2, df, False, cap)[0],
+        )
+    except SolverError:  # a floor no energy on an all-zero SNR vector can meet
+        return math.inf
+    hn2 = float(np.real(np.vdot(chan.h, chan.h)))
+    demand = params.n_subcarriers * level
+    fits = demand <= params.efficiency * hn2 * params.power_cap * (total_time - tau2)
+    return float(np.min(demand[fits], initial=math.inf))
 
 
 @dataclass(frozen=True)

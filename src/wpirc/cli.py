@@ -54,7 +54,9 @@ DEFAULTS: dict = {
     # oracle cross-check
     "oracle_tau2_steps": 200,
     "oracle_gamma_steps": 200,
-    "oracle_gamma_max": None,  # default: maximum harvestable energy
+    # default: certify.equal_power_demand_bound, or the maximum harvestable
+    # energy where that bound is inf
+    "oracle_gamma_max": None,
     "oracle_rel_tol": 0.02,
 }
 

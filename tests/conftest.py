@@ -35,6 +35,3 @@ def make_params(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-from wpirc.certify import equal_power_demand_bound  # noqa: E402  (test helper re-export)

@@ -1,3 +1,10 @@
+import ast
+import itertools
+import math
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -13,9 +20,59 @@ from wpirc import (
     rank_one_extract,
     solve,
 )
+from wpirc import certify
+from wpirc.certify import equal_power_demand_bound
 from wpirc.sim import sample_channel
 
-from conftest import equal_power_demand_bound, make_params
+from conftest import make_params
+
+
+def bisection_demand_bound(params, chan, tau2_steps=200):
+    """The former equal-power bound, the reference for the Newton one.
+
+    On every grid point it doubles a common energy from ``tau2`` until both
+    rate floors hold (giving up after 200 checks), bisects it 80 times, and
+    keeps the cheapest budget-feasible point.  The rates are in bits, as in
+    ``radar_mi``/``comm_rate``; all grid points run at once.
+    """
+    nc, df, total_time = params.n_subcarriers, params.delta_f, params.total_time
+    tau2 = np.linspace(total_time / tau2_steps, total_time, tau2_steps)
+
+    def ok(g):
+        def bits(snr):
+            return df * tau2 * np.sum(np.log2(1.0 + g[:, None] * snr / tau2[:, None]), axis=1)
+
+        return (0.5 * bits(chan.radar_snr) >= params.mi_floor) & (
+            bits(chan.comm_snr) >= params.rate_floor
+        )
+
+    hi = tau2.copy()
+    for _ in range(200):
+        reached = ok(hi)
+        if reached.all():
+            break
+        hi = np.where(reached, hi, 2.0 * hi)
+    lo = np.zeros_like(hi)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        good = ok(mid)
+        hi, lo = np.where(good, mid, hi), np.where(good, lo, mid)
+    demand = np.where(reached, nc * hi, math.inf)
+    hn2 = float(np.vdot(chan.h, chan.h).real)
+    fits = demand <= params.efficiency * hn2 * params.power_cap * (total_time - tau2)
+    return float(np.min(demand[fits], initial=math.inf))
+
+
+def criterion_1_instances():
+    rng = np.random.default_rng(1)
+    for seed in range(50):
+        params = make_params(
+            n_subcarriers=2,
+            n_antennas=2,
+            mi_floor=float(rng.uniform(5.0, 40.0)),
+            rate_floor=float(rng.uniform(5.0, 40.0)),
+        )
+        yield params, sample_channel(seed, params, 10.0, 10.0)
 
 
 def optimal_solution_for(h, demand, params, tau1=5e-5, tau2=5e-5):
@@ -135,6 +192,93 @@ class TestRankOneExtract:
         w = rank_one_extract(q, 2e-5)
         cosine = abs(np.vdot(h, w)) / (np.linalg.norm(h) * np.linalg.norm(w))
         assert cosine >= 1 - 1e-10
+
+
+class TestEqualPowerDemandBound:
+    def test_matches_bisection_on_criterion_1_instances(self):
+        n_finite = 0
+        for params, chan in criterion_1_instances():
+            ref = bisection_demand_bound(params, chan)
+            assert equal_power_demand_bound(params, chan) == pytest.approx(ref, rel=1e-12)
+            n_finite += math.isfinite(ref)
+        assert n_finite >= 40
+
+    @pytest.mark.parametrize("steps", [1, 7, 200])
+    def test_grid_sizes(self, steps):
+        # with one step the only split is tau2 = T, which harvests nothing
+        refs = []
+        for params, chan in itertools.islice(criterion_1_instances(), 8):
+            refs.append(bisection_demand_bound(params, chan, steps))
+            got = equal_power_demand_bound(params, chan, tau2_steps=steps)
+            assert got == pytest.approx(refs[-1], rel=1e-12)
+        assert any(map(math.isfinite, refs)) == (steps > 1)
+
+    @pytest.mark.parametrize("zero", ["mi_floor", "rate_floor"])
+    def test_one_floor_exactly_zero(self, zero):
+        params = make_params(n_subcarriers=3, mi_floor=30.0, rate_floor=30.0)
+        params = replace(params, **{zero: 0.0})
+        for seed in range(4):
+            chan = sample_channel(seed, params, 10.0, 10.0)
+            ref = bisection_demand_bound(params, chan)
+            assert math.isfinite(ref)
+            assert equal_power_demand_bound(params, chan) == pytest.approx(ref, rel=1e-12)
+
+    def test_zero_snr_subcarriers(self):
+        params = make_params(n_subcarriers=3, mi_floor=20.0, rate_floor=25.0)
+        base = sample_channel(2, params, 10.0, 10.0)
+        radar, comm = base.radar_snr.copy(), base.comm_snr.copy()
+        radar[1], comm[0] = 0.0, 0.0
+        chan = ChannelRealization(h=base.h, radar_snr=radar, comm_snr=comm)
+        ref = bisection_demand_bound(params, chan)
+        assert math.isfinite(ref)
+        assert equal_power_demand_bound(params, chan) == pytest.approx(ref, rel=1e-12)
+
+    def test_infeasible_instance_is_infinite(self):
+        params = make_params(n_subcarriers=2, mi_floor=5e4)
+        chan = sample_channel(1, params, 10.0, 10.0)
+        assert bisection_demand_bound(params, chan) == math.inf
+        assert equal_power_demand_bound(params, chan) == math.inf
+
+    def test_all_zero_snr_under_a_positive_floor_is_infinite(self):
+        params = make_params(n_subcarriers=2, mi_floor=10.0, rate_floor=10.0)
+        chan = ChannelRealization(h=[1.0, 1.0], radar_snr=[0.0, 0.0], comm_snr=[1.0, 1.0])
+        assert bisection_demand_bound(params, chan) == math.inf
+        assert equal_power_demand_bound(params, chan) == math.inf
+
+    def test_level_runs_once_per_floor_for_the_whole_grid(self, monkeypatch):
+        level = certify._common_gamma
+        sizes = []
+
+        def counted(snr, floor, tau2, *rest):
+            sizes.append(np.size(tau2))
+            return level(snr, floor, tau2, *rest)
+
+        monkeypatch.setattr(certify, "_common_gamma", counted)
+        params, chan = next(criterion_1_instances())
+        for steps in (1, 7, 200):
+            sizes.clear()
+            equal_power_demand_bound(params, chan, tau2_steps=steps)
+            assert sizes == [steps, steps]
+
+
+def test_solver_and_benchmark_do_not_load_certify():
+    # the package __init__ imports every module, so the probe imports the
+    # two modules under a bare package object to see what they pull in, and
+    # then certify, which fails there if the three form an import cycle
+    probe = (
+        "import sys, types\n"
+        "pkg = types.ModuleType('wpirc')\n"
+        f"pkg.__path__ = [{str(Path(certify.__file__).parent)!r}]\n"
+        "sys.modules['wpirc'] = pkg\n"
+        "import wpirc.solver, wpirc.benchmark\n"
+        "print(sorted(m for m in sys.modules if m.startswith('wpirc.')))\n"
+        "import wpirc.certify\n"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    loaded = ast.literal_eval(done.stdout)
+    assert {"wpirc.solver", "wpirc.benchmark"} <= set(loaded)
+    assert "wpirc.certify" not in loaded
 
 
 class TestBruteForceOracle:

@@ -1,8 +1,10 @@
 import csv
 
+import numpy as np
 import pytest
 import yaml
 
+from wpirc import certify
 from wpirc.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
 
 SMALL_SCENARIO = {
@@ -109,6 +111,27 @@ class TestOracleCheckCommand:
         path = write_config(tmp_path)
         assert main(["oracle-check", "--config", path]) == EXIT_OK
         assert "relative gap" in capsys.readouterr().out
+
+    def test_infeasible_instance_falls_back_to_the_harvestable_energy(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # no equal-power point is feasible, so the bound is inf and the
+        # oracle's gamma axes end at the most energy the budget can harvest
+        oracle, gamma_maxes = certify.brute_force_oracle, []
+
+        def spy(params, chan, grid):
+            hn2 = float(np.real(np.vdot(chan.h, chan.h)))
+            harvest = params.efficiency * hn2 * params.power_cap * params.total_time
+            gamma_maxes.append((grid.gamma_max, harvest))
+            return oracle(params, chan, grid)
+
+        monkeypatch.setattr(certify, "brute_force_oracle", spy)
+        path = write_config(tmp_path, {"mi_floor": 5e4})
+        assert main(["oracle-check", "--config", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "solver: infeasible" in out and "oracle: infeasible" in out
+        [(gamma_max, harvest)] = gamma_maxes
+        assert gamma_max == harvest
 
     def test_rejects_large_instance(self, tmp_path):
         path = write_config(tmp_path, {"n_subcarriers": 8})

@@ -8,6 +8,7 @@ and a brentq on the rate.  Both evaluate the margin or the rate many more
 times than the Newton iterations that took their place.
 """
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from wpirc import (
     rank_one_extract,
     solve,
 )
+import wpirc.benchmark
 from wpirc.benchmark import _common_gamma, _equal_power_allocation
 from wpirc.sim import sample_channel
 from wpirc.solver import DEFAULT_OPTIONS, _demand_slope, solve_with_allocation
@@ -301,6 +303,75 @@ def test_common_level_matches_brentq(rng):
         target = (2.0 if half else 1.0) * floor * math.log(2.0) / (2.5e5 * tau2)
         assert float(np.sum(np.log1p(gamma / tau2 * snr))) >= target * (1 - 1e-14)
     assert 0 < n_unreachable < 30
+
+
+def u0_start_iterations(snr, floor, tau2, half):
+    """Newton steps the equal-power level takes from ``u0`` alone."""
+    s = snr[snr > 0]
+    target = (2.0 if half else 1.0) * floor * math.log(2.0) / (2.5e5 * tau2)
+    u = (target - float(np.sum(np.log(s)))) / s.size
+    if not u + math.log(float(np.max(s))) < math.log(sys.float_info.max):
+        return 0
+    for n in range(1, 201):
+        xs = math.exp(u) * s
+        gap = float(np.sum(np.log1p(xs))) - target
+        if not gap > 0.0:
+            return n
+        step = gap / float(np.sum(xs / (1.0 + xs)))
+        u -= step
+        if step <= 1e-8:
+            return n
+    raise AssertionError("no convergence from u0")
+
+
+class CountingNumpy:
+    """numpy, with a count of ``log1p`` calls: one per Newton step."""
+
+    def __init__(self):
+        self.log1p_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log1p(self, *args, **kwargs):
+        self.log1p_calls += 1
+        return np.log1p(*args, **kwargs)
+
+
+def test_tighter_level_start_never_takes_more_steps(rng, monkeypatch):
+    counter = CountingNumpy()
+    monkeypatch.setattr(wpirc.benchmark, "np", counter)
+    steps, u0_steps = [], []
+    for _ in range(300):
+        n = int(rng.integers(1, 40))
+        snr = 10.0 ** rng.uniform(-6, 6, n)
+        snr[rng.random(n) < 0.2] = 0.0
+        snr[0] = max(snr[0], 1e-3)
+        floor = 10.0 ** rng.uniform(-2, 3)
+        tau2 = T_TOTAL * 10.0 ** rng.uniform(-4, 0)
+        half = bool(rng.random() < 0.5)
+        before = counter.log1p_calls
+        _common_gamma(snr, floor, tau2, 2.5e5, half, 200)
+        steps.append(counter.log1p_calls - before)
+        u0_steps.append(u0_start_iterations(snr, floor, tau2, half))
+    assert all(a <= b for a, b in zip(steps, u0_steps))
+    assert sum(steps) < sum(u0_steps)
+
+
+@pytest.mark.parametrize("n", [1, 2, 16, 1024])
+def test_level_over_an_array_matches_each_scalar_call(rng, n):
+    # every element of a vectorized call stops on its own rule, so it runs
+    # exactly the iteration that a scalar call at its tau2 runs
+    for trial in range(4):
+        snr = 10.0 ** rng.uniform(-3, 3, n)
+        snr[rng.random(n) < 0.1] = 0.0
+        snr[0] = max(snr[0], 1e-3)
+        floor, half = 10.0 ** rng.uniform(0, 3), bool(trial % 2)
+        tau2 = T_TOTAL * 10.0 ** rng.uniform(-4, 0, 200)
+        gamma, slope = _common_gamma(snr, floor, tau2, 2.5e5, half, 200)
+        one_by_one = [_common_gamma(snr, floor, t, 2.5e5, half, 200) for t in tau2]
+        assert gamma.tolist() == [g for g, _ in one_by_one]
+        assert slope.tolist() == [d for _, d in one_by_one]
 
 
 def test_unreachable_equal_power_floor_is_infinite_demand():
