@@ -3,8 +3,9 @@
 The certificate machinery reconstructs the dual pair of the beamforming
 subproblem in closed form and checks the stationarity, complementary
 slackness and rank conditions that guarantee a rank-one covariance.  The
-grid oracle exhaustively searches tiny instances and is the independent
-reference the solver is validated against.
+grid oracle returns the best point of a full grid over tiny instances
+(searched row by row) and is the independent reference the solver is
+validated against.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    LN2,
     ChannelRealization,
     Solution,
     SolveStatus,
@@ -178,11 +180,47 @@ def equal_power_demand_bound(
     return float(np.min(demand[fits], initial=math.inf))
 
 
+# the oracle holds at most this many (tau2, row) pairs at once, or one
+# tau2 step's rows when there are more
+ORACLE_BLOCK = 5000
+
+
 @dataclass(frozen=True)
 class OracleGrid:
     tau2_steps: int = 200
     gamma_steps: int = 200
     gamma_max: float = 1.0  # joules, upper edge of every gamma axis
+
+    def __post_init__(self) -> None:
+        if self.tau2_steps < 1 or self.gamma_steps < 1:
+            raise ValueError("tau2_steps and gamma_steps must be at least 1")
+        if not (math.isfinite(self.gamma_max) and self.gamma_max >= 0.0):
+            raise ValueError("gamma_max must be finite and nonnegative")
+
+
+def _first_meeting(
+    prefix: np.ndarray, last: np.ndarray, floor: float, guess: np.ndarray
+) -> np.ndarray:
+    """First ``k`` with ``prefix + last[:, k] >= floor`` in each row, else ``n``.
+
+    ``prefix`` is ``(B, rows)`` and ``last`` the ``(B, n)`` table of the
+    last gamma axis, nondecreasing along it, so the test is monotone in
+    ``k``.  Probes at ``guess - 1`` and ``guess`` settle each row whose
+    guess is right; a bisection settles the rest.
+    """
+    n = last.shape[1]
+    row_start = n * np.arange(last.shape[0])[:, None]
+
+    def narrow(lo, hi, probe):
+        term = last.take(row_start + np.minimum(probe, n - 1))
+        meets = (prefix + term >= floor) | (probe == n)
+        return np.where(meets, lo, probe + 1), np.where(meets, probe, hi)
+
+    lo, hi = narrow(np.zeros_like(guess), np.full_like(guess, n), np.maximum(guess - 1, 0))
+    lo, hi = narrow(lo, hi, np.clip(guess, lo, hi))
+    while (lo < hi).any():
+        lo, hi = narrow(lo, hi, (lo + hi) // 2)
+    return lo
 
 
 def brute_force_oracle(
@@ -190,12 +228,25 @@ def brute_force_oracle(
     chan: ChannelRealization,
     grid: OracleGrid,
 ) -> Solution:
-    """Exhaustive grid search over the time split and subcarrier energies.
+    """Exact grid search over the time split and subcarrier energies.
 
-    Only intended for tiny instances: the cost grows as
-    ``gamma_steps ** n_subcarriers * tau2_steps``.
+    Returns the point of ``tau2_axis x g_axis ** N_c`` with the least total
+    energy that meets both floors and fits the harvest budget, ties going
+    to the first in C order (earliest ``tau2``, then the gamma indices):
+    bit for bit the point a dense search of every grid point returns.
+
+    It visits rows, not points.  With the first ``N_c - 1`` gamma indices
+    fixed, each floor's test ``fl(prefix + term[k]) >= floor`` is monotone
+    in the last index ``k``, because the last subcarrier's term is
+    nondecreasing along its axis and rounding is monotone; the energy
+    ``fl(prefix_s + g[k])`` is nondecreasing too.  So a row's cheapest
+    feasible point is the larger of the two floors' first meeting indices,
+    if it fits the budget.  Each first index is guessed from the closed-form
+    inverse of the last term and confirmed with the exact test, so the cost
+    is ``tau2_steps * gamma_steps ** (N_c - 1)`` rows of a few probes each.
+    An axis that is not nondecreasing raises :class:`SolverError`.
     """
-    nc = params.n_subcarriers
+    nc, n = params.n_subcarriers, grid.gamma_steps
     if nc > 3:
         raise ValueError("oracle limited to at most 3 subcarriers")
     if chan.n_subcarriers != nc or chan.h.size != params.n_antennas:
@@ -208,38 +259,53 @@ def brute_force_oracle(
     total_time = params.total_time
     g_axis = np.linspace(0.0, grid.gamma_max, grid.gamma_steps)
     tau2_axis = np.linspace(total_time / grid.tau2_steps, total_time, grid.tau2_steps)
+    if not (np.diff(g_axis) >= 0.0).all():
+        raise SolverError("oracle gamma axis is not nondecreasing")
+    g_step = grid.gamma_max / (n - 1) if n > 1 else 0.0
 
-    def spread(vec: np.ndarray, axis: int) -> np.ndarray:
-        shape = [1] * nc
-        shape[axis] = -1
-        return vec.reshape(shape)
+    def prefix(tables: list[np.ndarray]) -> np.ndarray:
+        """Sum of the first N_c - 1 ``(B, n)`` tables over their C-order rows.
 
-    s_grid = sum(spread(g_axis, i) for i in range(nc))
+        Summed from 0 in subcarrier order, as the dense grid sums them.
+        """
+        total = np.zeros((tables[0].shape[0], 1))
+        for table in tables[:-1]:
+            total = (total[:, :, None] + table[:, None, :]).reshape(table.shape[0], -1)
+        return total
+
+    s_prefix = prefix([g_axis[None, :]] * nc)
+    rows = s_prefix.shape[1]
+    block = max(1, ORACLE_BLOCK // max(rows, n))
 
     best_s = np.inf
     best: tuple[float, np.ndarray] | None = None
-    for t2 in tau2_axis:
+    for start in range(0, grid.tau2_steps, block):
+        t2 = tau2_axis[start : start + block, None]
         half = 0.5 * params.delta_f * t2
-        mi = sum(
-            spread(half * np.log2(1.0 + g_axis * chan.radar_snr[i] / t2), i)
-            for i in range(nc)
-        )
-        rate = sum(
-            spread(2.0 * half * np.log2(1.0 + g_axis * chan.comm_snr[i] / t2), i)
-            for i in range(nc)
-        )
-        feasible = (
-            (mi >= params.mi_floor)
-            & (rate >= params.rate_floor)
-            & (s_grid <= budget_rate * (total_time - t2))
-        )
-        if not feasible.any():
-            continue
-        masked = np.where(feasible, s_grid, np.inf)
-        idx = np.unravel_index(np.argmin(masked), masked.shape)
-        if masked[idx] < best_s:
-            best_s = float(masked[idx])
-            best = (float(t2), g_axis[np.array(idx)])
+        k = np.zeros((t2.shape[0], rows), dtype=np.intp)
+        for snr, scale, floor in (
+            (chan.radar_snr, half, params.mi_floor),
+            (chan.comm_snr, 2.0 * half, params.rate_floor),
+        ):
+            tables = [scale * np.log2(1.0 + g_axis * s / t2) for s in snr]
+            if not (np.diff(tables[-1], axis=1) >= 0.0).all():
+                raise SolverError("oracle rate term is not nondecreasing in gamma")
+            p = prefix(tables)
+            # an unreachable or free floor, a zero SNR or a one-point axis
+            # give an infinite or NaN guess, which the clip turns into an end
+            with np.errstate(all="ignore"):
+                x = np.expm1((floor - p) * (LN2 / scale)) * t2 / (snr[-1] * g_step)
+                guess = np.fmin(np.fmax(np.ceil(x), 0.0), n).astype(np.intp)
+            k = np.maximum(k, _first_meeting(p, tables[-1], floor, guess))
+        energy = s_prefix + g_axis[np.minimum(k, n - 1)]
+        fits = (k < n) & (energy <= budget_rate * (total_time - t2))
+        masked = np.where(fits, energy, np.inf)
+        flat = int(np.argmin(masked))
+        if masked.flat[flat] < best_s:
+            b, row = divmod(flat, rows)
+            idx = np.unravel_index(row, (n,) * (nc - 1)) + (k.flat[flat],)
+            best_s = float(masked.flat[flat])
+            best = (float(tau2_axis[start + b]), g_axis[np.array(idx)])
 
     if best is None:
         return Solution.empty(SolveStatus.INFEASIBLE, params)

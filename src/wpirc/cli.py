@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import yaml
@@ -173,21 +173,23 @@ def _cmd_oracle_check(cfg: dict) -> int:
     params = build_params(cfg)
     if params.n_subcarriers > 3:
         raise ConfigError("oracle-check requires n_subcarriers <= 3")
+    gamma_max = cfg["oracle_gamma_max"]
+    try:
+        grid = certify.OracleGrid(
+            tau2_steps=int(cfg["oracle_tau2_steps"]),
+            gamma_steps=int(cfg["oracle_gamma_steps"]),
+            gamma_max=0.0 if gamma_max is None else float(gamma_max),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid oracle grid: {exc}") from exc
     chan = _channel(cfg, params)
     sol = solver.solve(params, chan, build_options(cfg))
-    gamma_max = cfg["oracle_gamma_max"]
     if gamma_max is None:
-        gamma_max = certify.equal_power_demand_bound(
-            params, chan, tau2_steps=int(cfg["oracle_tau2_steps"])
-        )
+        gamma_max = certify.equal_power_demand_bound(params, chan, tau2_steps=grid.tau2_steps)
         if not np.isfinite(gamma_max):
             hn2 = float(np.real(np.vdot(chan.h, chan.h)))
             gamma_max = params.efficiency * hn2 * params.power_cap * params.total_time
-    grid = certify.OracleGrid(
-        tau2_steps=int(cfg["oracle_tau2_steps"]),
-        gamma_steps=int(cfg["oracle_gamma_steps"]),
-        gamma_max=float(gamma_max),
-    )
+        grid = replace(grid, gamma_max=float(gamma_max))
     ref = certify.brute_force_oracle(params, chan, grid)
     print(f"solver: {sol.status.value}, energy {sol.energy:.6e} J")
     print(f"oracle: {ref.status.value}, energy {ref.energy:.6e} J")

@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wpirc import (
     ChannelRealization,
@@ -23,6 +25,7 @@ from wpirc import (
 from wpirc import certify
 from wpirc.certify import equal_power_demand_bound
 from wpirc.sim import sample_channel
+from wpirc.solver import SolverError
 
 from conftest import make_params
 
@@ -63,6 +66,73 @@ def bisection_demand_bound(params, chan, tau2_steps=200):
     return float(np.min(demand[fits], initial=math.inf))
 
 
+def dense_grid_oracle(params, chan, grid):
+    """The former grid oracle, the reference for the row search.
+
+    For every ``tau2`` step it builds the whole ``gamma_steps ** N_c`` grid
+    of MI, rate and energy, masks it and takes the first C-order minimum,
+    keeping the first step with a strictly smaller one.
+    """
+    nc = params.n_subcarriers
+    if params.mi_floor == 0.0 and params.rate_floor == 0.0:
+        return Solution.empty(SolveStatus.ZERO_DEMAND, params)
+
+    hn2 = float(np.real(np.vdot(chan.h, chan.h)))
+    budget_rate = params.efficiency * hn2 * params.power_cap
+    total_time = params.total_time
+    g_axis = np.linspace(0.0, grid.gamma_max, grid.gamma_steps)
+    tau2_axis = np.linspace(total_time / grid.tau2_steps, total_time, grid.tau2_steps)
+
+    def spread(vec, axis):
+        shape = [1] * nc
+        shape[axis] = -1
+        return vec.reshape(shape)
+
+    s_grid = sum(spread(g_axis, i) for i in range(nc))
+
+    best_s = np.inf
+    best = None
+    for t2 in tau2_axis:
+        half = 0.5 * params.delta_f * t2
+        mi = sum(
+            spread(half * np.log2(1.0 + g_axis * chan.radar_snr[i] / t2), i)
+            for i in range(nc)
+        )
+        rate = sum(
+            spread(2.0 * half * np.log2(1.0 + g_axis * chan.comm_snr[i] / t2), i)
+            for i in range(nc)
+        )
+        feasible = (
+            (mi >= params.mi_floor)
+            & (rate >= params.rate_floor)
+            & (s_grid <= budget_rate * (total_time - t2))
+        )
+        if not feasible.any():
+            continue
+        masked = np.where(feasible, s_grid, np.inf)
+        idx = np.unravel_index(np.argmin(masked), masked.shape)
+        if masked[idx] < best_s:
+            best_s = float(masked[idx])
+            best = (float(t2), g_axis[np.array(idx)])
+
+    if best is None:
+        return Solution.empty(SolveStatus.INFEASIBLE, params)
+
+    tau2, gamma = best
+    tau1 = total_time - tau2
+    q_bar, trace = mrt_covariance(chan.h, best_s, params.efficiency)
+    beam = rank_one_extract(q_bar, tau1) if tau1 > 0 else np.zeros_like(chan.h)
+    return Solution(
+        status=SolveStatus.OPTIMAL,
+        beam_vector=beam,
+        tau1=tau1,
+        tau2=tau2,
+        gamma=np.asarray(gamma, dtype=float),
+        energy=trace,
+        covariance_bar=q_bar,
+    )
+
+
 def criterion_1_instances():
     rng = np.random.default_rng(1)
     for seed in range(50):
@@ -73,6 +143,15 @@ def criterion_1_instances():
             rate_floor=float(rng.uniform(5.0, 40.0)),
         )
         yield params, sample_channel(seed, params, 10.0, 10.0)
+
+
+def oracle_grid(params, chan, tau2_steps=200, gamma_steps=200):
+    """The CLI's default grid: the equal-power bound, else the harvest."""
+    gmax = equal_power_demand_bound(params, chan, tau2_steps=tau2_steps)
+    if not np.isfinite(gmax):
+        hn2 = float(np.vdot(chan.h, chan.h).real)
+        gmax = params.efficiency * hn2 * params.power_cap * params.total_time
+    return OracleGrid(tau2_steps=tau2_steps, gamma_steps=gamma_steps, gamma_max=gmax)
 
 
 def optimal_solution_for(h, demand, params, tau1=5e-5, tau2=5e-5):
@@ -282,13 +361,6 @@ def test_solver_and_benchmark_do_not_load_certify():
 
 
 class TestBruteForceOracle:
-    def grid_for(self, params, chan, steps=200):
-        gmax = equal_power_demand_bound(params, chan, tau2_steps=steps)
-        if not np.isfinite(gmax):
-            hn2 = float(np.vdot(chan.h, chan.h).real)
-            gmax = params.efficiency * hn2 * params.power_cap * params.total_time
-        return OracleGrid(tau2_steps=steps, gamma_steps=steps, gamma_max=gmax)
-
     def test_zero_demand(self):
         params = make_params(mi_floor=0.0, rate_floor=0.0)
         chan = ChannelRealization(h=[1, 1], radar_snr=[1, 1], comm_snr=[1, 1])
@@ -301,7 +373,7 @@ class TestBruteForceOracle:
             params = make_params(n_subcarriers=2, mi_floor=20.0, rate_floor=25.0)
             chan = sample_channel(seed, params, 10.0, 10.0)
             sol = solve(params, chan)
-            ref = brute_force_oracle(params, chan, self.grid_for(params, chan))
+            ref = brute_force_oracle(params, chan, oracle_grid(params, chan))
             assert sol.status == ref.status
             if sol.status is SolveStatus.OPTIMAL:
                 assert sol.energy <= ref.energy * (1 + 1e-9)
@@ -311,7 +383,7 @@ class TestBruteForceOracle:
         params = make_params(n_subcarriers=2, mi_floor=5e4, rate_floor=0.0)
         chan = sample_channel(1, params, 10.0, 10.0)
         sol = solve(params, chan)
-        ref = brute_force_oracle(params, chan, self.grid_for(params, chan, steps=100))
+        ref = brute_force_oracle(params, chan, oracle_grid(params, chan, 100, 100))
         assert sol.status is SolveStatus.INFEASIBLE
         assert ref.status is SolveStatus.INFEASIBLE
 
@@ -320,3 +392,224 @@ class TestBruteForceOracle:
         chan = ChannelRealization(h=[1, 1], radar_snr=np.ones(4), comm_snr=np.ones(4))
         with pytest.raises(ValueError):
             brute_force_oracle(params, chan, OracleGrid(10, 10, 1.0))
+
+
+def assert_same_solution(got, ref):
+    assert got.status is ref.status
+    assert (got.energy, got.tau1, got.tau2) == (ref.energy, ref.tau1, ref.tau2)
+    assert np.array_equal(got.gamma, ref.gamma)
+    assert np.array_equal(got.beam_vector, ref.beam_vector)
+    assert np.array_equal(got.covariance_bar, ref.covariance_bar)
+
+
+def assert_matches_dense(params, chan, grid):
+    ref = dense_grid_oracle(params, chan, grid)
+    assert_same_solution(brute_force_oracle(params, chan, grid), ref)
+    return ref
+
+
+def grid_point_values(params, chan, grid, sol):
+    """MI, rate and energy of the oracle's point, as the dense grid has them."""
+    total_time = params.total_time
+    tau2_axis = np.linspace(total_time / grid.tau2_steps, total_time, grid.tau2_steps)
+    g_axis = np.linspace(0.0, grid.gamma_max, grid.gamma_steps)
+    t2 = tau2_axis[np.flatnonzero(tau2_axis == sol.tau2)[0]]
+    idx = [np.flatnonzero(g_axis == g)[0] for g in sol.gamma]
+    half = 0.5 * params.delta_f * t2
+    mi = sum(half * np.log2(1.0 + g_axis * s / t2)[i] for s, i in zip(chan.radar_snr, idx))
+    rate = sum(2.0 * half * np.log2(1.0 + g_axis * s / t2)[i] for s, i in zip(chan.comm_snr, idx))
+    return mi, rate, sum(g_axis[i] for i in idx), t2
+
+
+def channel(seed, nc, radar, comm):
+    """A seeded two-antenna channel with the given SNRs (scalars or vectors)."""
+    h = np.random.default_rng(seed).standard_normal((2, 2)) @ np.array([1.0, 1j])
+    return ChannelRealization(h=h, radar_snr=np.full(nc, radar), comm_snr=np.full(nc, comm))
+
+
+class TestOracleMatchesDenseSearch:
+    """The row search returns exactly the dense search's ``Solution``."""
+
+    def test_criterion_1_instances(self):
+        statuses = []
+        for params, chan in criterion_1_instances():
+            statuses.append(assert_matches_dense(params, chan, oracle_grid(params, chan)).status)
+        assert statuses.count(SolveStatus.OPTIMAL) >= 40
+        assert SolveStatus.INFEASIBLE in statuses
+
+    def test_one_subcarrier(self):
+        params = make_params(n_subcarriers=1, mi_floor=20.0, rate_floor=25.0)
+        for seed in range(4):
+            chan = channel(seed, 1, 10.0 ** (seed / 2), 3.0)
+            ref = assert_matches_dense(params, chan, oracle_grid(params, chan))
+            assert ref.status is SolveStatus.OPTIMAL
+
+    def test_three_subcarriers(self):
+        params = make_params(n_subcarriers=3, mi_floor=24.0, rate_floor=30.0)
+        for seed in range(4):
+            chan = sample_channel(seed, params, 10.0, 10.0)
+            ref = assert_matches_dense(params, chan, oracle_grid(params, chan, 40, 40))
+            assert ref.status is SolveStatus.OPTIMAL
+
+    @pytest.mark.parametrize("zero", ["mi_floor", "rate_floor"])
+    @pytest.mark.parametrize("nc", [1, 2, 3])
+    def test_one_floor_exactly_zero(self, zero, nc):
+        params = make_params(n_subcarriers=nc, mi_floor=15.0, rate_floor=20.0)
+        params = replace(params, **{zero: 0.0})
+        for seed in range(3):
+            chan = sample_channel(seed, params, 10.0, 10.0)
+            # room above the equal-power bound, which is the exact demand of
+            # a single subcarrier and may miss its floor by rounding
+            grid = oracle_grid(params, chan, 40, 40)
+            grid = replace(grid, gamma_max=2.0 * grid.gamma_max)
+            assert assert_matches_dense(params, chan, grid).status is SolveStatus.OPTIMAL
+
+    def test_infeasible_floor(self):
+        params = make_params(n_subcarriers=2, mi_floor=5e4, rate_floor=10.0)
+        chan = sample_channel(1, params, 10.0, 10.0)
+        ref = assert_matches_dense(params, chan, oracle_grid(params, chan))
+        assert ref.status is SolveStatus.INFEASIBLE
+
+    def test_best_point_on_the_budget_edge(self):
+        # the power cap at which the budget of the best point's time split
+        # equals its energy exactly: the point fits there, not an ulp below
+        n_edges = 0
+        for params, chan in itertools.islice(criterion_1_instances(), 6):
+            grid = oracle_grid(params, chan)
+            ref = dense_grid_oracle(params, chan, grid)
+            _, _, energy, t2 = grid_point_values(params, chan, grid, ref)
+            hn2 = float(np.vdot(chan.h, chan.h).real)
+            cap = energy / (params.efficiency * hn2 * (params.total_time - t2))
+            for cap in (cap, *np.nextafter(cap, [0.0, np.inf])):
+                budget = params.efficiency * hn2 * cap * (params.total_time - t2)
+                if budget == energy:
+                    break
+            else:
+                continue
+            n_edges += 1
+            edge = assert_matches_dense(replace(params, power_cap=float(cap)), chan, grid)
+            assert_same_solution(edge, ref)
+            below = replace(params, power_cap=float(np.nextafter(cap, 0.0)))
+            assert assert_matches_dense(below, chan, grid).tau2 != ref.tau2
+        assert n_edges >= 4
+
+    @pytest.mark.parametrize("nc", [2, 3])
+    def test_floors_on_the_best_points_values(self, nc):
+        # floors raised to the MI and rate of the best point, which then
+        # meets both with equality and stays the best point; SNRs spread over
+        # three decades make its terms unequal, so that on some points the
+        # order of the sum decides the last bit
+        rng = np.random.default_rng(5)
+        params = make_params(n_subcarriers=nc, mi_floor=8.0 * nc, rate_floor=10.0 * nc)
+        n_raised = 0
+        for seed in range(8):
+            chan = channel(seed, nc, *10.0 ** rng.uniform(-1.5, 2.0, (2, nc)))
+            grid = oracle_grid(params, chan, 40, 40)
+            ref = assert_matches_dense(params, chan, grid)
+            if ref.status is not SolveStatus.OPTIMAL:
+                continue
+            mi, rate, _, _ = grid_point_values(params, chan, grid, ref)
+            raised = replace(params, mi_floor=float(mi), rate_floor=float(rate))
+            assert_same_solution(assert_matches_dense(raised, chan, grid), ref)
+            n_raised += 1
+        assert n_raised >= 6
+
+    def test_identical_snrs_break_ties_in_c_order(self):
+        # (i, j) and (j, i) cost the same and meet the same floors, so only
+        # the tie rule picks the one with the smaller first index
+        n_ties = 0
+        for seed in range(6):
+            params = make_params(n_subcarriers=2, mi_floor=12.0 + seed, rate_floor=18.0)
+            chan = channel(seed, 2, 3.0, 2.0)
+            ref = assert_matches_dense(params, chan, oracle_grid(params, chan))
+            assert ref.status is SolveStatus.OPTIMAL
+            n_ties += ref.gamma[0] != ref.gamma[1]
+            assert ref.gamma[0] <= ref.gamma[1]
+        assert n_ties >= 2
+
+    @pytest.mark.parametrize("tau2_steps", [1, 2, 7, 200])
+    @pytest.mark.parametrize("gamma_steps", [1, 2, 7, 200])
+    def test_grid_sizes(self, tau2_steps, gamma_steps):
+        for params, chan in itertools.islice(criterion_1_instances(), 3):
+            assert_matches_dense(params, chan, oracle_grid(params, chan, tau2_steps, gamma_steps))
+
+    def test_zero_snr_subcarrier_and_zero_gamma_max(self):
+        params = make_params(n_subcarriers=2, mi_floor=10.0, rate_floor=10.0)
+        chan = channel(3, 2, [0.0, 4.0], [2.0, 0.0])
+        grid = oracle_grid(params, chan)
+        assert assert_matches_dense(params, chan, grid).status is SolveStatus.OPTIMAL
+        assert_matches_dense(params, chan, replace(grid, gamma_max=0.0))
+
+    def test_nonmonotone_axis_raises(self, monkeypatch):
+        class DippingLog2:
+            """numpy, except that log2 dips after its first element."""
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def log2(x):
+                y = np.log2(x)
+                y[..., 1] = -1.0
+                return y
+
+        params, chan = next(criterion_1_instances())
+        grid = oracle_grid(params, chan, 20, 20)
+        monkeypatch.setattr(certify, "np", DippingLog2())
+        with pytest.raises(SolverError):
+            brute_force_oracle(params, chan, grid)
+
+
+class TestOracleGrid:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(tau2_steps=0),
+            dict(gamma_steps=0),
+            dict(gamma_steps=-3),
+            dict(gamma_max=math.inf),
+            dict(gamma_max=math.nan),
+            dict(gamma_max=-1e-9),
+        ],
+    )
+    def test_rejects(self, bad):
+        with pytest.raises(ValueError):
+            OracleGrid(**bad)
+
+    def test_smallest_grid(self):
+        grid = OracleGrid(tau2_steps=1, gamma_steps=1, gamma_max=0.0)
+        params, chan = next(criterion_1_instances())
+        assert brute_force_oracle(params, chan, grid).status is SolveStatus.INFEASIBLE
+
+
+snr_values = st.floats(min_value=-2.0, max_value=3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    nc=st.integers(min_value=1, max_value=2),
+    mi_floor=st.floats(min_value=0.0, max_value=60.0),
+    rate_floor=st.floats(min_value=0.0, max_value=60.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_solver_beats_the_oracle(data, nc, mi_floor, rate_floor, seed):
+    """The solver is at least as good as every grid point the oracle sees.
+
+    The oracle's points are feasible points of the problem, so the optimum
+    costs no more than its best one; the solver's ``tau2`` may lie up to
+    ``time_tol * T`` below the optimal split, hence the 1e-6 slack.  SNRs
+    stay in 1e-2..1e3, away from the known limit of the multiplier search
+    (floors near 1e-9 bits met on subcarriers with SNRs near 1e-4).
+    """
+    assume(mi_floor > 0.0 or rate_floor > 0.0)
+    snrs = st.lists(snr_values, min_size=nc, max_size=nc)
+    params = make_params(n_subcarriers=nc, mi_floor=mi_floor, rate_floor=rate_floor)
+    chan = channel(seed, nc, data.draw(snrs), data.draw(snrs))
+    sol = solve(params, chan)
+    ref = brute_force_oracle(params, chan, oracle_grid(params, chan, 60, 60))
+    if ref.status is SolveStatus.OPTIMAL:
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.energy <= ref.energy * (1 + 1e-6)
+    if sol.status is SolveStatus.INFEASIBLE:
+        assert ref.status is SolveStatus.INFEASIBLE

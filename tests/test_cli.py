@@ -133,6 +133,22 @@ class TestOracleCheckCommand:
         [(gamma_max, harvest)] = gamma_maxes
         assert gamma_max == harvest
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"oracle_tau2_steps": 0},
+            {"oracle_gamma_steps": 0},
+            {"oracle_gamma_max": -1.0},
+            {"oracle_gamma_max": float("nan")},
+            {"oracle_gamma_max": float("inf")},
+            {"oracle_gamma_max": "lots"},
+        ],
+    )
+    def test_invalid_grid_is_a_config_error(self, tmp_path, capsys, bad):
+        path = write_config(tmp_path, bad)
+        assert main(["oracle-check", "--config", path]) == EXIT_CONFIG
+        assert "invalid oracle grid" in capsys.readouterr().err
+
     def test_rejects_large_instance(self, tmp_path):
         path = write_config(tmp_path, {"n_subcarriers": 8})
         assert main(["oracle-check", "--config", path]) == EXIT_CONFIG
