@@ -9,12 +9,10 @@ from .model import (
     Solution,
     SolveStatus,
     SystemParams,
-    WaveformSpec,
     check_constraints,
     comm_rate,
     harvested_energy,
     radar_mi,
-    synthesize_ofdm,
 )
 from .solver import (
     DualPair,

@@ -49,7 +49,6 @@ DEFAULTS: dict = {
     # solver tolerances
     "max_bisect": 200,
     "dual_tol": 1e-10,
-    "constraint_tol": 1e-8,
     "time_tol": 1e-9,
     # oracle cross-check
     "oracle_tau2_steps": 200,
@@ -95,7 +94,6 @@ def build_options(cfg: dict) -> solver.SolverOptions:
     return solver.SolverOptions(
         max_bisect=int(cfg["max_bisect"]),
         dual_tol=float(cfg["dual_tol"]),
-        constraint_tol=float(cfg["constraint_tol"]),
         time_tol=float(cfg["time_tol"]),
     )
 

@@ -2,8 +2,7 @@
 
 Everything in this module is a pure function of its (immutable) inputs:
 harvested energy at the transmitter, radar mutual information and
-communication rate of the OFDM waveform, constraint bookkeeping, and
-baseband waveform synthesis.
+communication rate of the OFDM waveform, and constraint bookkeeping.
 """
 from __future__ import annotations
 
@@ -21,12 +20,10 @@ __all__ = [
     "Solution",
     "ConstraintRecord",
     "FeasibilityReport",
-    "WaveformSpec",
     "harvested_energy",
     "radar_mi",
     "comm_rate",
     "check_constraints",
-    "synthesize_ofdm",
 ]
 
 
@@ -156,28 +153,6 @@ class FeasibilityReport:
         raise KeyError(name)
 
 
-@dataclass(frozen=True)
-class WaveformSpec:
-    """Amplitudes and phase codes of the integrated OFDM waveform."""
-
-    center_freq: float
-    n_symbols: int
-    phase_codes: np.ndarray  # (N_c, N_s), unit modulus
-    amplitudes: np.ndarray  # (N_c,), sqrt(W)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase_codes", np.asarray(self.phase_codes, dtype=complex))
-        object.__setattr__(self, "amplitudes", np.asarray(self.amplitudes, dtype=float))
-        if self.n_symbols < 1:
-            raise ValueError("n_symbols must be positive")
-        if self.phase_codes.shape != (self.amplitudes.size, self.n_symbols):
-            raise ValueError("phase_codes must be (n_subcarriers, n_symbols)")
-        if np.any(np.abs(np.abs(self.phase_codes) - 1.0) > 1e-9):
-            raise ValueError("phase codes must be unit modulus")
-        if np.any(self.amplitudes < 0):
-            raise ValueError("amplitudes must be nonnegative")
-
-
 def harvested_energy(h: np.ndarray, w: np.ndarray, tau1: float, eta: float) -> float:
     """Energy collected during a harvesting slot of length ``tau1``.
 
@@ -275,26 +250,3 @@ def check_constraints(
     )
     return FeasibilityReport(records=records, tolerance=tol)
 
-
-def synthesize_ofdm(
-    spec: WaveformSpec,
-    params: SystemParams,
-    sample_rate: float,
-    symbol_index: int,
-) -> np.ndarray:
-    """Sample one baseband OFDM symbol of the integrated waveform.
-
-    Returns ``sum_m a_m c_{m,n} exp(j 2 pi m delta_f (t - n T_s))`` on a
-    uniform grid of ``round(sample_rate * T_s)`` points covering the
-    symbol window. The carrier factor is omitted (complex envelope).
-    """
-    n_c = spec.amplitudes.size
-    if sample_rate < n_c * params.delta_f:
-        raise ValueError("sample_rate below the Nyquist rate of the occupied band")
-    if not 0 <= symbol_index < spec.n_symbols:
-        raise ValueError("symbol_index out of range")
-    n_samples = int(round(sample_rate * params.symbol_duration))
-    t_rel = np.arange(n_samples) / sample_rate
-    tones = np.exp(2j * np.pi * params.delta_f * np.outer(np.arange(n_c), t_rel))
-    weights = spec.amplitudes * spec.phase_codes[:, symbol_index]
-    return weights @ tones

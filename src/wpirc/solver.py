@@ -74,7 +74,6 @@ class InnerResult:
 class SolverOptions:
     max_bisect: int = 200
     dual_tol: float = 1e-10  # absolute, on normalized constraint residuals
-    constraint_tol: float = 1e-8  # relative
     time_tol: float = 1e-9  # relative to total_time
 
 

@@ -1,19 +1,81 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings, strategies as st
 
+import wpirc.benchmark
 from wpirc import (
     ChannelRealization,
     SolveStatus,
+    SolverError,
     check_constraints,
     eq_solve,
     feasibility_frontier,
     kkt_certificate,
     solve,
 )
+from wpirc.solver import DEFAULT_OPTIONS
 from wpirc.sim import sample_channel
 
 from conftest import make_params
+
+
+def bisection_frontier(params, chan, target, scheme="op", tol_bits=0.1, options=DEFAULT_OPTIONS):
+    """Reference frontier: doubling then bisection of the floor on the
+    solver's status, a lower bound within ``tol_bits``."""
+    solve_fn = solve if scheme == "op" else eq_solve
+    floor_field = f"{target}_floor"
+
+    def feasible(r):
+        trial = replace(params, **{floor_field: r})
+        return solve_fn(trial, chan, options).status is not SolveStatus.INFEASIBLE
+
+    if not feasible(0.0):
+        return 0.0
+    lo, hi = 0.0, 1.0
+    for _ in range(options.max_bisect):
+        if not feasible(hi):
+            break
+        lo, hi = hi, hi * 2.0
+    else:
+        raise SolverError("feasibility frontier exceeds the search cap")
+    while hi - lo > tol_bits:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def assert_brackets(params, chan, target, scheme, frontier):
+    """The scheme's solver is feasible 1e-6 bits below the frontier and
+    infeasible 1e-3 bits above it."""
+    solve_fn = solve if scheme == "op" else eq_solve
+    floor_field = f"{target}_floor"
+    if frontier > 0.0:
+        below = solve_fn(replace(params, **{floor_field: max(frontier - 1e-6, 0.0)}), chan)
+        assert below.status is not SolveStatus.INFEASIBLE, (scheme, frontier)
+    beyond = solve_fn(replace(params, **{floor_field: frontier + 1e-3}), chan)
+    assert beyond.status is SolveStatus.INFEASIBLE, (scheme, frontier)
+
+
+def assert_matches_bisection(params, chan, target, scheme):
+    ref = bisection_frontier(params, chan, target, scheme)
+    frontier = feasibility_frontier(params, chan, target, scheme)
+    assert ref <= frontier <= ref + 0.1 + 1e-6, (scheme, target, ref, frontier)
+    assert_brackets(params, chan, target, scheme, frontier)
+    return frontier
+
+
+def frontier_pool(target):
+    """The frontier-n16 bench pool (criterion 5's instances are its first
+    five); the other floor is 20 bits."""
+    other = "rate_floor" if target == "mi" else "mi_floor"
+    params = make_params(n_subcarriers=16, n_antennas=3, **{other: 20.0})
+    return params, [sample_channel(seed, params, 15.0, 10.0) for seed in range(32)]
 
 
 class TestEqSolve:
@@ -74,7 +136,7 @@ class TestFeasibilityFrontier:
             feasibility_frontier(replace(params, rate_floor=rc), chan, target="mi")
             for rc in (0.0, 20.0, 40.0)
         ]
-        assert all(b <= a + 0.2 for a, b in zip(frontiers, frontiers[1:]))
+        assert all(b <= a + 1e-6 for a, b in zip(frontiers, frontiers[1:]))
 
     def test_op_frontier_dominates_eq(self):
         for seed in range(3):
@@ -82,14 +144,173 @@ class TestFeasibilityFrontier:
             chan = sample_channel(seed, params, 12.0, 10.0)
             f_op = feasibility_frontier(params, chan, target="mi", scheme="op")
             f_eq = feasibility_frontier(params, chan, target="mi", scheme="eq")
-            assert f_eq <= f_op + 0.2
+            assert f_eq <= f_op + 1e-6
 
     def test_infeasible_beyond_frontier_feasible_below(self):
         params = make_params(n_subcarriers=3, n_antennas=2)
         chan = sample_channel(13, params, 12.0, 12.0)
         frontier = feasibility_frontier(params, chan, target="mi")
         assert frontier > 0
-        below = solve(replace(params, mi_floor=0.8 * frontier), chan)
-        beyond = solve(replace(params, mi_floor=frontier + 1.0), chan)
+        below = solve(replace(params, mi_floor=frontier - 1e-6), chan)
+        beyond = solve(replace(params, mi_floor=frontier + 1e-3), chan)
         assert below.status is SolveStatus.OPTIMAL
         assert beyond.status is SolveStatus.INFEASIBLE
+
+    @pytest.mark.parametrize("scheme", ["op", "eq"])
+    @pytest.mark.parametrize("target", ["mi", "rate"])
+    def test_matches_bisection_on_the_bench_pool(self, target, scheme):
+        params, chans = frontier_pool(target)
+        for chan in chans:
+            assert_matches_bisection(params, chan, target, scheme)
+
+    def test_binding_other_floor_runs_the_nested_newton(self, monkeypatch):
+        params = make_params(n_subcarriers=16, n_antennas=3, rate_floor=200.0)
+        chan = sample_channel(0, params, 15.0, 10.0)
+        calls = []
+        inner = wpirc.benchmark.inner_allocation
+        monkeypatch.setattr(
+            wpirc.benchmark, "inner_allocation", lambda *a, **k: calls.append(1) or inner(*a, **k)
+        )
+        frontier = assert_matches_bisection(params, chan, "mi", "op")
+        assert frontier == pytest.approx(213.9, abs=0.05)
+        assert calls
+
+    def test_no_solve_where_the_other_floor_does_not_bind(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("frontier called a solver")
+
+        for name in ("solve", "solve_with_allocation", "inner_allocation"):
+            monkeypatch.setattr(wpirc.benchmark, name, refuse)
+        for target in ("mi", "rate"):
+            params, chans = frontier_pool(target)
+            for chan in chans[:8]:
+                for scheme in ("op", "eq"):
+                    assert feasibility_frontier(params, chan, target, scheme) > 0.0
+
+    @pytest.mark.parametrize("target", ["mi", "rate"])
+    def test_unreachable_other_floor_gives_zero(self, target):
+        params, chans = frontier_pool(target)
+        chan = chans[1]
+        other = "rate" if target == "mi" else "mi"
+        reach = {s: feasibility_frontier(params, chan, other, s) for s in ("op", "eq")}
+        assert reach["eq"] < reach["op"] - 1.0
+        # beyond both schemes' reach, then beyond eq's alone
+        for floor, zero in ((reach["op"] + 1.0, ("op", "eq")), (0.5 * sum(reach.values()), ("eq",))):
+            trial = replace(params, **{f"{other}_floor": floor})
+            for scheme in ("op", "eq"):
+                frontier = feasibility_frontier(trial, chan, target, scheme)
+                solve_fn = solve if scheme == "op" else eq_solve
+                at_zero = solve_fn(replace(trial, **{f"{target}_floor": 0.0}), chan)
+                assert (frontier == 0.0) is (scheme in zero)
+                assert (at_zero.status is SolveStatus.INFEASIBLE) is (scheme in zero)
+                if scheme not in zero:
+                    assert_matches_bisection(trial, chan, target, scheme)
+
+    @pytest.mark.parametrize("target", ["mi", "rate"])
+    def test_other_floor_zero(self, target):
+        params = make_params(n_subcarriers=16, n_antennas=3)
+        for seed in range(3):
+            chan = sample_channel(seed, params, 15.0, 10.0)
+            for scheme in ("op", "eq"):
+                assert_matches_bisection(params, chan, target, scheme)
+
+    def test_single_subcarrier(self):
+        params = make_params(n_subcarriers=1, n_antennas=3, rate_floor=20.0)
+        for seed in range(3):
+            chan = sample_channel(seed, params, 15.0, 10.0)
+            for target in ("mi", "rate"):
+                trial = params if target == "mi" else replace(params, rate_floor=0.0, mi_floor=20.0)
+                f_op = assert_matches_bisection(trial, chan, target, "op")
+                f_eq = assert_matches_bisection(trial, chan, target, "eq")
+                assert f_eq == pytest.approx(f_op, abs=1e-6)
+
+    def test_zero_snr_subcarriers(self):
+        params = make_params(n_subcarriers=4, n_antennas=2, rate_floor=20.0)
+        chan = ChannelRealization(
+            h=[1.0, 0.5], radar_snr=[0.0, 30.0, 3.0, 10.0], comm_snr=[5.0, 0.0, 10.0, 1.0]
+        )
+        for target in ("mi", "rate"):
+            trial = params if target == "mi" else replace(params, rate_floor=0.0, mi_floor=20.0)
+            for scheme in ("op", "eq"):
+                assert_matches_bisection(trial, chan, target, scheme)
+
+    @pytest.mark.parametrize(
+        "target, other_floor, snr_db, seed, expected",
+        [("rate", 200.0, (0.0, 20.0), 2, 3548.73), ("mi", 9721.0, (20.0, 40.0), 1, 1189.30)],
+        ids=["right-edge", "left-edge"],
+    )
+    def test_maximum_on_an_edge_of_the_other_floors_interval(
+        self, target, other_floor, snr_db, seed, expected
+    ):
+        # the eq frontier peaks where the other floor stops holding; there
+        # the floor 1e-6 bits below it holds on a time-split interval
+        # narrower than time_tol * T unless the search steps back inside
+        other = "mi_floor" if target == "rate" else "rate_floor"
+        params = make_params(n_subcarriers=64, n_antennas=3, **{other: other_floor})
+        chan = sample_channel(seed, params, *snr_db)
+        frontier = assert_matches_bisection(params, chan, target, "eq")
+        assert frontier == pytest.approx(expected, abs=0.01)
+
+    def test_search_stops_on_the_concavity_bound(self, monkeypatch):
+        counts = []
+        search = wpirc.benchmark._concave_max
+
+        def counted(f, total_time, options):
+            counts.append(0)
+
+            def g(t):
+                counts[-1] += 1
+                return f(t)
+
+            return search(g, total_time, options)
+
+        monkeypatch.setattr(wpirc.benchmark, "_concave_max", counted)
+        for target in ("mi", "rate"):
+            params, chans = frontier_pool(target)
+            for chan in chans[:8]:
+                for scheme in ("op", "eq"):
+                    feasibility_frontier(params, chan, target, scheme)
+        assert max(counts) <= 12
+
+    def test_other_floor_at_its_reachable_maximum(self):
+        # the other floor alone takes the whole budget at the edge of its
+        # time-split interval, where the target's multiplier vanishes
+        params = make_params(n_subcarriers=2)
+        chan = ChannelRealization(h=[1.0, 0.5], radar_snr=[1.0, 1.0], comm_snr=[1.0, 3.0])
+        free = feasibility_frontier(params, chan, "mi")
+        reach = feasibility_frontier(params, chan, "rate")
+        frontier = feasibility_frontier(replace(params, rate_floor=reach), chan, "mi")
+        assert 0.0 <= frontier <= free
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(
+    data=st.data(),
+    n_subcarriers=st.sampled_from([1, 2, 3, 16]),
+    target=st.sampled_from(["mi", "rate"]),
+    share=st.one_of(st.just(0.0), st.floats(0.01, 0.99), st.floats(1.01, 1.5)),
+)
+def test_frontier_brackets_the_solvers(data, n_subcarriers, target, share):
+    """Both schemes' solvers are feasible 1e-6 bits below the frontier and
+    infeasible 1e-3 bits above it, and eq never beats op.
+
+    SNRs span 1e-2..1e3 and the other floor is 0 or a share of its op
+    reach (the other target's frontier at floor 0) up to 1.5 times it.
+    Kept out: shares within 1 % of 1, where the other floor's time-split
+    interval shrinks to a point and the frontier and the solvers disagree
+    at the level of their tolerances; and positive shares below 1 %, whose
+    floors run down to subnormals, where eq_solve's common level divides
+    by zero.  The SNR range keeps the known-limit region of the multiplier
+    searches (floors near 1e-9 bits on SNRs near 1e-4) out as well."""
+    snrs = st.lists(st.floats(1e-2, 1e3), min_size=n_subcarriers, max_size=n_subcarriers)
+    chan = ChannelRealization(h=[1.0, 0.5], radar_snr=data.draw(snrs), comm_snr=data.draw(snrs))
+    params = make_params(n_subcarriers=n_subcarriers)
+    other = "rate" if target == "mi" else "mi"
+    reach = feasibility_frontier(params, chan, other, "op")
+    params = replace(params, **{f"{other}_floor": share * reach})
+    frontier = {}
+    for scheme in ("op", "eq"):
+        frontier[scheme] = feasibility_frontier(params, chan, target, scheme)
+        assert math.isfinite(frontier[scheme])
+        assert_brackets(params, chan, target, scheme, frontier[scheme])
+    assert frontier["eq"] <= frontier["op"] + 1e-6

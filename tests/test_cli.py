@@ -48,6 +48,11 @@ class TestConfigHandling:
         path = write_config(tmp_path, {"not_a_key": 1})
         assert main(["solve", "--config", path]) == EXIT_CONFIG
 
+    def test_removed_constraint_tol_is_an_unknown_key(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"constraint_tol": 1e-8})
+        assert main(["solve", "--config", path]) == EXIT_CONFIG
+        assert "unknown config keys: constraint_tol" in capsys.readouterr().err
+
     def test_malformed_yaml_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("- just\n- a\n- list\n")

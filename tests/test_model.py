@@ -6,13 +6,11 @@ from wpirc import (
     Solution,
     SolveStatus,
     SystemParams,
-    WaveformSpec,
     check_constraints,
     comm_rate,
     harvested_energy,
     radar_mi,
     solve,
-    synthesize_ofdm,
 )
 from wpirc.sim import sample_channel
 
@@ -144,64 +142,3 @@ class TestCheckConstraints:
             if sol.status is SolveStatus.OPTIMAL:
                 assert check_constraints(params, chan, sol, tol=1e-6).all_satisfied
 
-
-class TestSynthesizeOfdm:
-    def orthogonal_params(self, n_subcarriers):
-        # symbol duration equal to 1/delta_f so subcarriers are orthogonal
-        return make_params(
-            n_subcarriers=n_subcarriers, delta_f=2.5e5, symbol_duration=4e-6
-        )
-
-    def test_single_tone_constant_modulus(self):
-        params = self.orthogonal_params(1)
-        spec = WaveformSpec(
-            center_freq=0.0, n_symbols=1, phase_codes=np.ones((1, 1)), amplitudes=[2.0]
-        )
-        z = synthesize_ofdm(spec, params, sample_rate=1e6, symbol_index=0)
-        assert np.allclose(np.abs(z), 2.0, atol=1e-12)
-
-    def test_zero_amplitudes(self):
-        params = self.orthogonal_params(2)
-        spec = WaveformSpec(
-            center_freq=0.0, n_symbols=1, phase_codes=np.ones((2, 1)), amplitudes=[0.0, 0.0]
-        )
-        z = synthesize_ofdm(spec, params, sample_rate=1e6, symbol_index=0)
-        assert np.all(z == 0)
-
-    def test_dft_recovers_weights(self, rng):
-        # critically sampled symbol: each DFT bin returns a_m * c_m
-        n_c = 8
-        params = self.orthogonal_params(n_c)
-        codes = np.exp(1j * rng.uniform(0, 2 * np.pi, (n_c, 1)))
-        amps = rng.uniform(0.2, 3.0, n_c)
-        spec = WaveformSpec(center_freq=0.0, n_symbols=1, phase_codes=codes, amplitudes=amps)
-        z = synthesize_ofdm(spec, params, sample_rate=n_c * params.delta_f, symbol_index=0)
-        assert z.size == n_c
-        # independent DFT oracle, direct O(N^2) summation
-        bins = np.array(
-            [np.sum(z * np.exp(-2j * np.pi * k * np.arange(n_c) / n_c)) / n_c for k in range(n_c)]
-        )
-        np.testing.assert_allclose(bins, amps * codes[:, 0], rtol=1e-9, atol=1e-12)
-
-    def test_mean_power(self, rng):
-        n_c = 16
-        params = self.orthogonal_params(n_c)
-        codes = np.exp(1j * rng.uniform(0, 2 * np.pi, (n_c, 2)))
-        amps = rng.uniform(0.0, 2.0, n_c)
-        spec = WaveformSpec(center_freq=0.0, n_symbols=2, phase_codes=codes, amplitudes=amps)
-        z = synthesize_ofdm(spec, params, sample_rate=n_c * params.delta_f, symbol_index=1)
-        assert np.mean(np.abs(z) ** 2) == pytest.approx(np.sum(amps**2), rel=1e-9)
-
-    def test_subnyquist_rate_rejected(self):
-        params = self.orthogonal_params(8)
-        spec = WaveformSpec(
-            center_freq=0.0, n_symbols=1, phase_codes=np.ones((8, 1)), amplitudes=np.ones(8)
-        )
-        with pytest.raises(ValueError):
-            synthesize_ofdm(spec, params, sample_rate=4 * params.delta_f, symbol_index=0)
-
-    def test_nonunit_codes_rejected(self):
-        with pytest.raises(ValueError):
-            WaveformSpec(
-                center_freq=0.0, n_symbols=1, phase_codes=0.5 * np.ones((2, 1)), amplitudes=[1, 1]
-            )
