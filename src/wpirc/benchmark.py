@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import replace
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 import numpy as np
 
@@ -26,7 +26,10 @@ from .solver import (
     DEFAULT_OPTIONS,
     SolverError,
     SolverOptions,
+    _ask,
     _demand_slope,
+    _outer_steps,
+    _run_batch,
     inner_allocation,
     solve_with_allocation,
 )
@@ -34,81 +37,99 @@ from .solver import (
 __all__ = ["eq_solve", "feasibility_frontier"]
 
 _LOG_MAX = math.log(sys.float_info.max)
+_TINY = sys.float_info.min  # smallest normal float
 
 
-def _common_gamma(
-    snr: np.ndarray, floor: float, tau2, delta_f: float, half: bool, max_iter: int
-) -> tuple:
+def _common_level(snr: np.ndarray, delta_f: float, half: bool, max_iter: int) -> Callable:
     """Smallest common per-subcarrier energy meeting one rate floor, and its
-    slope in ``tau2``.
+    slope in ``tau2``, for one link.
 
-    The common level ``x = gamma / tau2`` solves ``F(u) = sum log1p(e^u s)
-    = target`` in ``u = log x``, with ``target = floor ln 2 / (delta_f
-    tau2)``, doubled for the sensing MI and its 1/2 prefactor.  ``F`` is
-    convex and increasing.  Over ``s > 0``, ``sum log(e^u s) <= F(u)`` makes
-    ``u0 = (target - sum log s) / N+`` an upper bound on the root, and
-    ``log1p(z) >= 2z / (2 + z)`` gives ``F >= 2xS / (2 + x s_max)`` with
-    ``S = sum s``, so ``x = 2 target / (2S - target s_max)`` is one too
-    where it is positive; the iteration starts at the smaller.  Newton
-    steps from there fall monotonically and every iterate meets the floor.
-    As ``F'' <= F'``, a step of size ``d`` leaves an error under ``d^2 / 2``,
-    so the iteration ends after a step under 1e-8, the rounding-level step
-    up from a gap just below zero included; ``max_iter`` caps the steps.
-    A start at which ``e^u`` or ``e^u s`` overflows means that no finite
-    energy meets the floor: the level is then ``inf``.  Implicit
-    differentiation of ``F(u) = target`` gives the slope ``x (1 - target /
-    F'(u))``, with ``F'`` taken at the returned level.
+    Returns ``level(floor, tau2) -> (gamma, slope)``; the sums over the
+    link's SNRs are taken once.  The common level ``x = gamma / tau2``
+    solves ``F(u) = sum log1p(e^u s) = target`` in ``u = log x``, with
+    ``target = floor ln 2 / (delta_f tau2)``, doubled for the sensing MI
+    (``half``) and its 1/2 prefactor.  ``F`` is convex and increasing.
+    Over ``s > 0``, ``sum log(e^u s) <= F(u)`` makes ``u0 = (target - sum
+    log s) / N+`` an upper bound on the root, and ``log1p(z) >= 2z / (2 +
+    z)`` gives ``F >= 2xS / (2 + x s_max)`` with ``S = sum s``, so ``x = 2
+    target / (2S - target s_max)`` is one too where it is positive; the
+    iteration starts at the smaller.  Newton steps from there fall
+    monotonically and every iterate meets the floor.  As ``F'' <= F'``, a
+    step of size ``d`` leaves an error under ``d^2 / 2``, so the iteration
+    ends after a step under 1e-8, the rounding-level step up from a gap
+    just below zero included; ``max_iter`` caps the steps.  A start at
+    which ``e^u`` or ``e^u s`` overflows means that no finite energy meets
+    the floor: the level is then ``inf``.  A target below ``S`` times the
+    smallest normal float, a zero floor's included, has a level below the
+    float range: it reads 0, with slope 0.  Implicit differentiation of
+    ``F(u) = target`` gives the slope ``x (1 - target / F'(u))``, with
+    ``F'`` taken at the returned level.
 
-    ``tau2`` may be an array: every element runs the same iteration at once
-    and stops on its own rule, and both results take its shape.
+    ``floor`` and ``tau2`` may be arrays: every element of their broadcast
+    runs the same iteration at once and stops on its own rule, and both
+    results take its shape.
     """
-    t2 = np.asarray(tau2, dtype=float)
-    if floor <= 0.0:
-        return np.zeros_like(t2)[()], np.zeros_like(t2)[()]
     s = snr[snr > 0]
-    if s.size == 0:
-        raise SolverError("rate floor demanded over an all-zero SNR vector")
-    flat = t2.reshape(-1)
-    target = (2.0 if half else 1.0) * floor * LN2 / delta_f / flat
-    s_max = float(np.maximum.reduce(s))
-    u0 = (target - float(np.add.reduce(np.log(s)))) / s.size
-    # 1 / x of the second bound where it holds (inv > 0); elsewhere u0 stands
-    inv = float(np.add.reduce(s)) / target - 0.5 * s_max
-    u = np.minimum(u0, -np.log(inv, out=-u0, where=inv > 0.0))
-    finite = u < _LOG_MAX - max(math.log(s_max), 0.0)
-    u = np.where(finite, u, 0.0)  # kept harmless while the finite levels iterate
-    live = finite
-    for _ in range(max_iter):
-        xs = np.exp(u)[:, None] * s
-        grad = np.add.reduce(xs / (1.0 + xs), 1)
-        if not np.count_nonzero(live):
-            break
-        step = (np.add.reduce(np.log1p(xs), 1) - target) / grad * live
-        u -= step
-        live = step > 1e-8
-    x = np.exp(u)
-    # a level near the float limit can have a slope past it: that reads -inf
-    with np.errstate(over="ignore"):
-        gamma = np.where(finite, flat * x, math.inf)
-        slope = np.where(finite, x * (1.0 - target / grad), -math.inf)
-    return gamma.reshape(t2.shape)[()], slope.reshape(t2.shape)[()]
+    total = float(np.add.reduce(s))
+    s_max = float(np.maximum.reduce(s, initial=0.0))
+    log_sum = float(np.add.reduce(np.log(s)))
+    u_max = _LOG_MAX - math.log(max(s_max, 1.0))  # e^u s overflows past it
+
+    def level(floor, tau2) -> tuple:
+        target = (2.0 if half else 1.0) * floor * LN2 / delta_f / np.asarray(tau2, dtype=float)
+        shape = np.shape(target)
+        if not s.size:
+            if np.any(target > 0.0):
+                raise SolverError("rate floor demanded over an all-zero SNR vector")
+            return np.zeros(shape)[()], np.zeros(shape)[()]
+        target = np.reshape(target, -1)
+        below = target < _TINY * total
+        # the iteration runs on a stand-in where the level reads 0
+        target = np.maximum(target, _TINY * total)
+        u0 = (target - log_sum) / s.size
+        # 1 / x of the second bound where it holds (inv > 0); elsewhere u0 stands
+        inv = total / target - 0.5 * s_max
+        u = np.minimum(u0, -np.log(inv, out=-u0, where=inv > 0.0))
+        finite = u < u_max
+        u = np.where(finite, u, 0.0)  # kept harmless while the finite levels iterate
+        live = finite
+        for _ in range(max_iter):
+            xs = np.exp(u)[:, None] * s
+            grad = np.add.reduce(xs / (1.0 + xs), 1)
+            if not np.count_nonzero(live):
+                break
+            step = (np.add.reduce(np.log1p(xs), 1) - target) / grad * live
+            u -= step
+            live = step > 1e-8
+        x = np.where(below, 0.0, np.exp(u))
+        # a level near the float limit can have a slope past it: that reads -inf
+        with np.errstate(over="ignore"):
+            gamma = np.where(finite, x, math.inf).reshape(shape) * tau2
+            slope = np.where(finite, x * (1.0 - target / grad), -math.inf)
+        return gamma[()], slope.reshape(shape)[()]
+
+    return level
 
 
-def _equal_power_allocation(
-    tau2: float, chan: ChannelRealization, params: SystemParams, options: SolverOptions
-) -> tuple[np.ndarray, float]:
-    """Equal-power profile at ``tau2`` and the slope of its total.
+def _equal_power_kernel(chan: ChannelRealization, delta_f: float, max_iter: int) -> Callable:
+    """The equal-power profile kernel on one channel: for a list of
+    ``(tau2, mi_floor, rate_floor)`` requests, one :func:`_common_level`
+    call per link, split into one ``(gamma, slope)`` answer per request,
+    the profile at ``tau2`` and the slope of its total.
 
     The common energy is the larger of the two floors' levels; where they
     tie, either floor's slope is a subgradient of the total.
     """
-    df, cap = params.delta_f, options.max_bisect
-    gamma, slope = max(
-        _common_gamma(chan.radar_snr, params.mi_floor, tau2, df, True, cap),
-        _common_gamma(chan.comm_snr, params.rate_floor, tau2, df, False, cap),
-    )
-    n = params.n_subcarriers
-    return np.full(n, gamma), n * float(slope)
+    n = chan.n_subcarriers
+    radar_level = _common_level(chan.radar_snr, delta_f, True, max_iter)
+    comm_level = _common_level(chan.comm_snr, delta_f, False, max_iter)
+
+    def kernel(requests: list) -> list:
+        tau2, mi_floor, rate_floor = np.array(requests).T
+        levels = map(max, zip(*radar_level(mi_floor, tau2)), zip(*comm_level(rate_floor, tau2)))
+        return [(np.full(n, gamma), n * float(slope)) for gamma, slope in levels]
+
+    return kernel
 
 
 def eq_solve(
@@ -120,13 +141,32 @@ def eq_solve(
 
     Only the power profile is restricted; the time split and the
     beamformer are optimized exactly as in :func:`wpirc.solver.solve`,
-    with the Newton levels of :func:`_common_gamma` as the allocator.
+    with the Newton levels of :func:`_common_level` as the allocator.
     """
+    kernel = _equal_power_kernel(chan, params.delta_f, options.max_bisect)
 
     def allocator(tau2: float) -> tuple[np.ndarray, float]:
-        return _equal_power_allocation(tau2, chan, params, options)
+        return kernel([(tau2, params.mi_floor, params.rate_floor)])[0]
 
     return solve_with_allocation(params, chan, allocator, options)
+
+
+def _eq_solve_batch(
+    rows: list[SystemParams], chan: ChannelRealization, options: SolverOptions = DEFAULT_OPTIONS
+) -> list:
+    """:func:`eq_solve` for rows that differ only in their floors, on one
+    channel, in lockstep (:func:`wpirc.solver._run_batch`): one stacked
+    kernel call per round serves every row's time-split probe.  Returns
+    each row's ``Solution`` or the exception its solve raised, equal to
+    what :func:`eq_solve` returns or raises for that row alone."""
+
+    def search(params: SystemParams) -> Generator:
+        return _outer_steps(
+            params, chan, lambda t2: _ask((t2, params.mi_floor, params.rate_floor)), options
+        )
+
+    kernel = _equal_power_kernel(chan, rows[0].delta_f, options.max_bisect)
+    return _run_batch([search(p) for p in rows], kernel)
 
 
 def _water_filling(

@@ -21,7 +21,7 @@ from .model import (
     SolveStatus,
     SystemParams,
 )
-from .benchmark import _common_gamma
+from .benchmark import _common_level
 from .solver import DEFAULT_OPTIONS, SolverError, mrt_covariance
 
 __all__ = [
@@ -158,7 +158,7 @@ def equal_power_demand_bound(
     On every time split of the oracle's grid, the cheapest common
     per-subcarrier energy that meets both rate floors is the larger of the
     two floors' equal-power levels, each found for the whole grid at once
-    by the Newton iteration of :func:`wpirc.benchmark._common_gamma`.  The
+    by the Newton iteration of :func:`wpirc.benchmark._common_level`.  The
     cheapest budget-feasible equal-power point bounds the optimum, and so
     each gamma coordinate; it is the natural ``gamma_max`` for
     :func:`brute_force_oracle`.  Returns ``inf`` when no equal-power point
@@ -169,8 +169,8 @@ def equal_power_demand_bound(
     df, cap = params.delta_f, DEFAULT_OPTIONS.max_bisect
     try:
         level = np.maximum(
-            _common_gamma(chan.radar_snr, params.mi_floor, tau2, df, True, cap)[0],
-            _common_gamma(chan.comm_snr, params.rate_floor, tau2, df, False, cap)[0],
+            _common_level(chan.radar_snr, df, True, cap)(params.mi_floor, tau2)[0],
+            _common_level(chan.comm_snr, df, False, cap)(params.rate_floor, tau2)[0],
         )
     except SolverError:  # a floor no energy on an all-zero SNR vector can meet
         return math.inf

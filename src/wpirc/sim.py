@@ -9,14 +9,17 @@ from __future__ import annotations
 
 import csv
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .benchmark import eq_solve
+from .benchmark import _eq_solve_batch
+# bound here so that the layer trace (bench/layertrace.py) finds the sweep's
+# solvers under their names; the sweep solves through the batches below
+from .benchmark import eq_solve  # noqa: F401
 from .model import ChannelRealization, SolveStatus, SystemParams, comm_rate, radar_mi
-from .solver import solve
+from .solver import _solve_batch
+from .solver import solve  # noqa: F401
 
 __all__ = ["SweepConfig", "SweepRow", "sample_channel", "run_sweep", "write_csv"]
 
@@ -120,29 +123,34 @@ def trial_seed(master_seed: int, trial: int) -> int:
 
 
 def _solve_rows(config: SweepConfig, trial: int) -> list[SweepRow]:
+    """One trial's rows: each scheme solves all sweep values as one batch."""
     seed = trial_seed(config.master_seed, trial)
     chan = sample_channel(
         seed, config.base, config.radar_snr_db, config.comm_snr_db, config.normalization
     )
+    batch = [replace(config.base, **{config.sweep_variable: v}) for v in config.sweep_values]
+    solved = {
+        scheme: (_solve_batch if scheme == "op" else _eq_solve_batch)(batch, chan)
+        for scheme in config.schemes
+    }
     rows = []
-    for value in config.sweep_values:
-        params = replace(config.base, **{config.sweep_variable: value})
+    for i, (value, params) in enumerate(zip(config.sweep_values, batch)):
         for scheme in config.schemes:
-            solve_fn = solve if scheme == "op" else eq_solve
-            try:
-                sol = solve_fn(params, chan)
+            sol = solved[scheme][i]
+            if isinstance(sol, Exception):
+                # the row keeps the CSV contract; the cause goes to the log
+                logger.error(
+                    "%s solve failed (trial %d, seed %d, %s=%g): %s",
+                    scheme, trial, seed, config.sweep_variable, value, sol,
+                    exc_info=sol,
+                )
+                status = SolveStatus.ERROR.value
+                energy = tau1 = tau2 = mi = rate = float("nan")
+            else:
                 status = sol.status.value
                 energy, tau1, tau2 = sol.energy, sol.tau1, sol.tau2
                 mi = radar_mi(sol.gamma, chan.radar_snr, sol.tau2, params.delta_f)
                 rate = comm_rate(sol.gamma, chan.comm_snr, sol.tau2, params.delta_f)
-            except Exception as exc:
-                # the row keeps the CSV contract; the cause goes to the log
-                logger.exception(
-                    "%s solve failed (trial %d, seed %d, %s=%g): %s",
-                    scheme, trial, seed, config.sweep_variable, value, exc,
-                )
-                status = SolveStatus.ERROR.value
-                energy = tau1 = tau2 = mi = rate = float("nan")
             rows.append(
                 SweepRow(
                     scheme=scheme,
@@ -160,21 +168,14 @@ def _solve_rows(config: SweepConfig, trial: int) -> list[SweepRow]:
     return rows
 
 
-def run_sweep(config: SweepConfig, threads: int = 1) -> list[SweepRow]:
+def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """Run every (sweep value, trial, scheme) combination.
 
     One channel is drawn per trial and shared across schemes and sweep
     values, so comparisons along either axis are paired.  Rows come back
-    in canonical (sweep_value, trial, scheme) order regardless of
-    ``threads``.
+    in canonical (sweep_value, trial, scheme) order.
     """
-    trials = range(config.trials)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_trial = list(pool.map(lambda t: _solve_rows(config, t), trials))
-    else:
-        per_trial = [_solve_rows(config, t) for t in trials]
-    rows = [row for batch in per_trial for row in batch]
+    rows = [row for t in range(config.trials) for row in _solve_rows(config, t)]
     rows.sort(key=lambda r: (r.sweep_value, r.trial, r.scheme))
     return rows
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
 
 import numpy as np
 
@@ -80,47 +80,36 @@ class SolverOptions:
 DEFAULT_OPTIONS = SolverOptions()
 
 
-def _gamma_profile(
-    lambda_r: float,
-    lambda_c: float,
-    v: np.ndarray,
-    w: np.ndarray,
-    tau2: float,
-    delta_f: float,
-) -> np.ndarray:
+def _gamma_profile(lambda_r, lambda_c, v, w, tau2, delta_f) -> np.ndarray:
     """Stationary per-subcarrier energies for fixed multipliers.
 
     Solves ``1 = A/(1 + x v) + B/(1 + x w)`` for ``x = gamma / tau2`` on
     each subcarrier, with ``A = lambda_r delta_f v / (2 ln 2)`` and
     ``B = lambda_c delta_f w / ln 2``; the positive root exists exactly
-    when ``A + B > 1`` and is otherwise clamped to zero.
+    when ``A + B > 1`` and is otherwise clamped to zero.  The multipliers
+    and ``tau2`` may be scalars or ``(k, 1)`` columns, one row of profiles
+    each; every subcarrier is computed alone, so a row does not depend on
+    the others.
     """
     A = lambda_r * delta_f * v / (2.0 * LN2)
     B = lambda_c * delta_f * w / LN2
-    x = np.zeros_like(v, dtype=float)
-
     c = 1.0 - A - B
     active = c < 0.0
     both = active & (v > 0) & (w > 0)
-    single = active & ~both & ((v > 0) | (w > 0))
+    # one gain zero: its term vanishes, and 1 = A/(1 + x v) or B/(1 + x w)
+    single = active & ~both & (v + w > 0)
 
-    if np.any(both):
-        a = v[both] * w[both]
-        b = v[both] + w[both] - A[both] * w[both] - B[both] * v[both]
-        cb = c[both]
-        root = np.hypot(b, 2.0 * np.sqrt(-a * cb))  # sqrt(b^2 - 4ac) > |b|, no overflow
-        # larger quadratic root, in the form without cancellation for the
-        # sign of b (b + root cancels when b < 0, at high water levels)
-        up = b >= 0.0
-        xb = np.empty_like(b)
-        xb[up] = -2.0 * cb[up] / (b[up] + root[up])
-        xb[~up] = (root[~up] - b[~up]) / (2.0 * a[~up])
-        x[both] = xb
-    if np.any(single):
-        gain = np.where(v[single] > 0, v[single], w[single])
-        scale = np.where(v[single] > 0, 1.0 - B[single], 1.0 - A[single])
-        x[single] = -c[single] / (gain * scale)
-
+    a = v * w
+    b = v + w - A * w - B * v
+    # sqrt(b^2 - 4ac) > |b| where both floors act, no overflow
+    root = np.hypot(b, 2.0 * np.sqrt(np.maximum(-a * c, 0.0)))
+    # larger quadratic root, in the form without cancellation for the sign
+    # of b (b + root cancels when b < 0, at high water levels)
+    up = b >= 0.0
+    x = np.zeros(c.shape)
+    np.divide(-2.0 * c, b + root, out=x, where=both & up)
+    np.divide(root - b, 2.0 * a, out=x, where=both & ~up)
+    np.divide(-c, v + w, out=x, where=single)
     return tau2 * np.maximum(x, 0.0)
 
 
@@ -138,37 +127,44 @@ def subcarrier_gamma(
     return float(out[0])
 
 
-def _water_level(snr: np.ndarray, target_logsum: float) -> float:
-    """Exact single-constraint water level.
+def _single_floor_filling(snr: np.ndarray) -> Callable[[float, float], tuple]:
+    """Exact single-constraint water-filling of one link, sorted once.
 
-    Finds ``a`` such that ``sum over active of log2(a * snr_m)`` equals
-    ``target_logsum`` with active set ``{m : a * snr_m > 1}``; the optimal
-    per-subcarrier loading is then ``x_m = max(0, a - 1/snr_m)``.
+    Returns ``fill(target_logsum, tau2) -> (gamma, a)``: the water level
+    ``a`` at which ``sum over active of log2(a * snr_m)`` equals
+    ``target_logsum`` with active set ``{m : a * snr_m > 1}``, and the
+    optimal profile ``tau2 * max(0, a - 1/snr_m)``.  With the SNRs ``v``
+    sorted in decreasing order and ``L_k`` the sum of the first ``k``
+    ``log2 v``, the ``k`` strongest subcarriers are active at ``a = 2**((t
+    - L_k) / k)``, which puts the k-th above water and the (k+1)-th not
+    exactly when ``theta_k <= t < theta_(k+1)`` for ``theta_k = L_k - k
+    log2 v_k``, a nondecreasing sequence from ``theta_1 = 0``.  A level
+    past ``2**1000`` reads ``inf``.
     """
-    v = np.sort(snr[snr > 0])[::-1]
-    if v.size == 0:
-        raise SolverError("rate floor demanded over an all-zero SNR vector")
-    exponent = (target_logsum - np.cumsum(np.log2(v))) / np.arange(1, v.size + 1)
-    # candidate level with the k strongest subcarriers active (inf past 2**1000)
-    a = np.full(v.size, np.inf)
-    finite = exponent <= 1000.0
-    a[finite] = np.power(2.0, exponent[finite])
-    # consistent when the k-th subcarrier is above water and the (k+1)-th is not
-    consistent = a * v >= 1.0 - 1e-14
-    consistent[:-1] &= a[:-1] * v[1:] < 1.0
-    # without a consistent candidate (boundary rounding) all are active
-    return float(a[np.argmax(consistent)] if consistent.any() else a[-1])
-
-
-def _single_constraint_gamma(
-    snr: np.ndarray, target_logsum: float, tau2: float
-) -> tuple[np.ndarray, float]:
-    """Optimal profile and water level for one active rate constraint."""
-    a = _water_level(snr, target_logsum)
-    x = np.zeros_like(snr)
     pos = snr > 0
-    x[pos] = np.maximum(0.0, a - 1.0 / snr[pos])
-    return tau2 * x, a
+    inv = np.divide(1.0, snr, out=np.full_like(snr, np.inf), where=pos)
+    log_v = np.log2(np.sort(snr[pos])[::-1])
+    log_sum = np.cumsum(log_v)
+    theta = log_sum - np.arange(1, log_v.size + 1) * log_v
+
+    def fill(target_logsum: float, tau2: float) -> tuple[np.ndarray, float]:
+        if log_v.size == 0:
+            raise SolverError("rate floor demanded over an all-zero SNR vector")
+        # below theta_1 = 0 no level is consistent: all subcarriers count as active
+        k = int(np.searchsorted(theta, target_logsum, side="right")) or log_v.size
+        exponent = (target_logsum - float(log_sum[k - 1])) / k
+        if exponent > 1000.0:
+            return np.where(pos, math.inf, 0.0), math.inf
+        level = 2.0**exponent
+        return tau2 * np.maximum(level - inv, 0.0), level
+
+    return fill
+
+
+def _bits(gamma: np.ndarray, snr: np.ndarray, tau2: float, scale: float) -> float:
+    """``scale * tau2 * sum log1p(gamma snr / tau2)``: the sensing MI with
+    ``scale = delta_f / (2 ln 2)``, the data rate with ``delta_f / ln 2``."""
+    return scale * tau2 * float(np.add.reduce(np.log1p(gamma * snr / tau2)))
 
 
 def inner_allocation(
@@ -187,18 +183,30 @@ def inner_allocation(
     :func:`_both_floor_multipliers` run, starting from ``start`` (for
     example the duals of a nearby ``tau2``) when it is given.
     """
+    fill_r, fill_c = _single_floor_filling(chan.radar_snr), _single_floor_filling(chan.comm_snr)
+    steps = _inner_steps(tau2, chan, params, options, start, fill_r, fill_c)
+    return _run(steps, _jacobian_kernel(chan, params.delta_f))
+
+
+def _inner_steps(
+    tau2: float,
+    chan: ChannelRealization,
+    params: SystemParams,
+    options: SolverOptions,
+    start: Optional[DualPair],
+    fill_r: Callable,
+    fill_c: Callable,
+) -> Generator[tuple, tuple, InnerResult]:
+    """:func:`inner_allocation` as a search that yields its profile
+    evaluations (:func:`_jacobian_kernel`), with the single-floor
+    water-fillings of both links given."""
     if tau2 <= 0:
         raise ValueError("tau2 must be positive")
     v = chan.radar_snr
     w = chan.comm_snr
     r_r, r_c = params.mi_floor, params.rate_floor
     df = params.delta_f
-
-    def mi(g):
-        return radar_mi(g, v, tau2, df)
-
-    def rate(g):
-        return comm_rate(g, w, tau2, df)
+    scale_r, scale_c = 0.5 * df / LN2, df / LN2
 
     if r_r == 0.0 and r_c == 0.0:
         return InnerResult(np.zeros_like(v), DualPair(0.0, 0.0), 0.0, "none")
@@ -209,44 +217,39 @@ def inner_allocation(
     # a water level past 2**1000 means no finite profile meets that floor
     lam_r1 = lam_c1 = 0.0
     if r_r > 0.0:
-        g1, level_a = _single_constraint_gamma(v, 2.0 * r_r / (df * tau2), tau2)
+        g1, level_a = fill_r(2.0 * r_r / (df * tau2), tau2)
         lam_r1 = level_a * 2.0 * LN2 / df
         if math.isinf(level_a):
             return InnerResult(g1, DualPair(lam_r1, 0.0), math.inf, "mi")
-        if rate(g1) >= r_c - tol_c:
+        rate = _bits(g1, w, tau2, scale_c)
+        if rate >= r_c - tol_c:
             duals = DualPair(lam_r1, 0.0)
-            res = _kkt_residual(duals, g1, mi(g1), rate(g1), r_r, r_c)
+            res = _kkt_residual(duals, _bits(g1, v, tau2, scale_r), rate, r_r, r_c)
             return InnerResult(g1, duals, res, "mi")
     if r_c > 0.0:
-        g2, level_b = _single_constraint_gamma(w, r_c / (df * tau2), tau2)
+        g2, level_b = fill_c(r_c / (df * tau2), tau2)
         lam_c1 = level_b * LN2 / df
         if math.isinf(level_b):
             return InnerResult(g2, DualPair(0.0, lam_c1), math.inf, "rate")
-        if mi(g2) >= r_r - tol_r:
+        mi = _bits(g2, v, tau2, scale_r)
+        if mi >= r_r - tol_r:
             duals = DualPair(0.0, lam_c1)
-            res = _kkt_residual(duals, g2, mi(g2), rate(g2), r_r, r_c)
+            res = _kkt_residual(duals, mi, _bits(g2, w, tau2, scale_c), r_r, r_c)
             return InnerResult(g2, duals, res, "rate")
 
-    lam_r, lam_c, gamma = _both_floor_multipliers(
-        v, w, tau2, df, r_r, r_c, lam_r1, lam_c1, start, options
+    lam_r, lam_c, gamma, mi, rate = yield from _both_floor_multipliers(
+        tau2, r_r, r_c, lam_r1, lam_c1, start, options
     )
     duals = DualPair(lam_r, lam_c)
-    res = _kkt_residual(duals, gamma, mi(gamma), rate(gamma), r_r, r_c)
+    res = _kkt_residual(duals, mi, rate, r_r, r_c)
     if res > 1e3 * options.dual_tol:
         raise SolverError(f"inner allocation did not converge (residual {res:.3e})")
     return InnerResult(gamma, duals, res, "both")
 
 
-def _floor_jacobian(
-    lambda_r: float,
-    lambda_c: float,
-    v: np.ndarray,
-    w: np.ndarray,
-    tau2: float,
-    delta_f: float,
-) -> tuple[np.ndarray, float, float, float, float, float]:
-    """Profile, sensing MI, data rate, and the slopes of (MI, rate) in the
-    multipliers.
+def _floor_jacobian(lambda_r, lambda_c, v, w, tau2, delta_f) -> tuple:
+    """Profiles, sensing MI, data rate, and the slopes of (MI, rate) in the
+    multipliers, for ``(k, 1)`` columns of multipliers and ``tau2``.
 
     Implicit differentiation of ``p + q = 1`` with ``p = A/(1 + x v)`` and
     ``q = B/(1 + x w)`` gives ``dx/dlambda_r = p / (lambda_r D)`` and
@@ -254,24 +257,44 @@ def _floor_jacobian(
     ``D = p v/(1 + x v) + q w/(1 + x w)``.  The returned slopes ``J_rr =
     dMI/dlambda_r``, ``J_rc = dMI/dlambda_c = drate/dlambda_r`` and ``J_cc
     = drate/dlambda_c`` form the negative Hessian of
-    :func:`inner_dual_value`, which is positive semidefinite.
+    :func:`inner_dual_value`, which is positive semidefinite.  Every result
+    but the ``(k, N_c)`` profiles is a ``(k, 1)`` column.
     """
     gamma = _gamma_profile(lambda_r, lambda_c, v, w, tau2, delta_f)
     x = gamma / tau2
-    on = x > 0.0
-    va, wa = v[on], w[on]
-    xv, xw = x[on] * va, x[on] * wa
+    xv, xw = x * v, x * w
     ev, ew = 1.0 + xv, 1.0 + xw
-    p_per = delta_f * va / (2.0 * LN2 * ev)  # p / lambda_r
-    q_per = delta_f * wa / (LN2 * ew)  # q / lambda_c
-    d = lambda_r * p_per * va / ev + lambda_c * q_per * wa / ew
+    p_per = delta_f * v / (2.0 * LN2 * ev)  # p / lambda_r
+    q_per = delta_f * w / (LN2 * ew)  # q / lambda_c
+    d = lambda_r * p_per * v / ev + lambda_c * q_per * w / ew
+    # the slopes sum over the active subcarriers only
+    inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=x > 0.0)
+
+    def total(terms):
+        return np.add.reduce(terms, axis=-1, keepdims=True)
+
     # log1p keeps the floors accurate when x v or x w is far below 1
-    mi = 0.5 * delta_f * tau2 * float(np.sum(np.log1p(xv))) / LN2
-    rate = delta_f * tau2 * float(np.sum(np.log1p(xw))) / LN2
-    j_rr = tau2 * float(np.sum(p_per * p_per / d))
-    j_rc = tau2 * float(np.sum(p_per * q_per / d))
-    j_cc = tau2 * float(np.sum(q_per * q_per / d))
+    mi = 0.5 * delta_f * tau2 * total(np.log1p(xv)) / LN2
+    rate = delta_f * tau2 * total(np.log1p(xw)) / LN2
+    j_rr = tau2 * total(p_per * p_per * inv_d)
+    j_rc = tau2 * total(p_per * q_per * inv_d)
+    j_cc = tau2 * total(q_per * q_per * inv_d)
     return gamma, mi, rate, j_rr, j_rc, j_cc
+
+
+def _jacobian_kernel(chan: ChannelRealization, delta_f: float) -> Callable[[list], list]:
+    """The optimal scheme's profile kernel on one channel: for a list of
+    ``(lambda_r, lambda_c, tau2)`` requests, one stacked
+    :func:`_floor_jacobian` call, split into one ``(gamma, mi, rate, j_rr,
+    j_rc, j_cc)`` answer per request."""
+    v, w = chan.radar_snr, chan.comm_snr
+
+    def kernel(requests: list) -> list:
+        lambda_r, lambda_c, tau2 = np.array(requests).T[..., None]
+        gamma, *floors = _floor_jacobian(lambda_r, lambda_c, v, w, tau2, delta_f)
+        return list(zip(gamma, *(f.ravel().tolist() for f in floors)))
+
+    return kernel
 
 
 def _log_mid(lo: float, hi: float, top: float) -> float:
@@ -289,18 +312,16 @@ def _log_step(lam: float, step: float) -> float:
 
 
 def _both_floor_multipliers(
-    v: np.ndarray,
-    w: np.ndarray,
     tau2: float,
-    df: float,
     r_r: float,
     r_c: float,
     lam_r1: float,
     lam_c1: float,
     start: Optional[DualPair],
     options: SolverOptions,
-) -> tuple[float, float, np.ndarray]:
-    """Multipliers at which both floors hold with equality.
+) -> Generator[tuple, tuple, tuple]:
+    """Multipliers at which both floors hold with equality, with the
+    profile, MI and rate there.
 
     A Newton search on ``(MI, rate) = (r_r, r_c)`` in log-multipliers,
     safeguarded by brackets.  The root lies in ``(0, lam_r1) x (0,
@@ -321,7 +342,8 @@ def _both_floor_multipliers(
     Newton corrections are below 1e-13 relative, or one step after each
     floor is met to ``dual_tol * max(1, floor)`` or has its multiplier
     settled to that precision.  ``max_bisect`` caps the iterations, one
-    profile evaluation each.
+    profile evaluation each, yielded as a ``(lambda_r, lambda_c, tau2)``
+    request to :func:`_jacobian_kernel`.
     """
     nan = math.nan
     top_r, top_c = 2.0 * lam_r1, 2.0 * lam_c1  # the bounds, widened for rounding
@@ -338,7 +360,7 @@ def _both_floor_multipliers(
     newton_res = math.inf  # residual where the last 2-D step started
     polished = False
     for _ in range(options.max_bisect):
-        gamma, mi, rate, j_rr, j_rc, j_cc = _floor_jacobian(lam_r, lam_c, v, w, tau2, df)
+        gamma, mi, rate, j_rr, j_rc, j_cc = yield lam_r, lam_c, tau2
         e_r, e_c = mi - r_r, rate - r_c
         det = j_rr * j_cc - j_rc * j_rc
         d_r = (j_rc * e_c - j_cc * e_r) / det if det > 0.0 else nan
@@ -348,7 +370,7 @@ def _both_floor_multipliers(
         fixed_r, fixed_c = abs(d_r) <= 1e-13 * lam_r, abs(d_c) <= 1e-13 * lam_c
         if (abs(e_r) <= tol_r or fixed_r) and (abs(e_c) <= tol_c or fixed_c):
             if polished or (fixed_r and fixed_c) or not det > 0.0:
-                return lam_r, lam_c, gamma
+                return lam_r, lam_c, gamma, mi, rate
             polished = True  # one more step sharpens the duals quadratically
         res = max(abs(e_r) / tol_r, abs(e_c) / tol_c)
 
@@ -389,9 +411,7 @@ def _both_floor_multipliers(
     raise SolverError("multiplier search for both rate floors did not converge")
 
 
-def _kkt_residual(
-    duals: DualPair, gamma: np.ndarray, mi: float, rate: float, r_r: float, r_c: float
-) -> float:
+def _kkt_residual(duals: DualPair, mi: float, rate: float, r_r: float, r_c: float) -> float:
     """Normalized primal-feasibility plus complementary-slackness residual."""
     nr = (mi - r_r) / max(1.0, r_r)
     nc = (rate - r_c) / max(1.0, r_c)
@@ -453,19 +473,19 @@ def mrt_covariance(
 
 
 def _largest_phi_root(
-    phi: Callable[[float], tuple[float, float]],
+    phi: Callable[[float], Generator],
     total_time: float,
     options: SolverOptions,
-) -> Optional[float]:
+) -> Generator[object, object, Optional[float]]:
     """Largest root of the convex feasibility margin on (0, T).
 
-    ``phi(t)`` returns the margin and its slope.  Newton steps start at
-    ``T``, where the margin is positive.  Every tangent of a convex function
-    lies below it, so each tangent root sits at or right of the largest root
-    and the margin stays positive on the iterates until a step crosses it.
-    A step shorter than ``time_tol * T`` is lengthened to that, which
-    crosses a simple root, and the first iterate with a nonpositive margin
-    is returned.
+    ``phi(t)`` is a search that returns the margin and its slope.  Newton
+    steps start at ``T``, where the margin is positive.  Every tangent of a
+    convex function lies below it, so each tangent root sits at or right of
+    the largest root and the margin stays positive on the iterates until a
+    step crosses it.  A step shorter than ``time_tol * T`` is lengthened to
+    that, which crosses a simple root, and the first iterate with a
+    nonpositive margin is returned.
 
     Returns None when the margin is positive on all of (0, T].  Each exit
     is a certificate, since the tangent at an iterate bounds the margin
@@ -477,7 +497,7 @@ def _largest_phi_root(
     """
     xtol = options.time_tol * total_time
     t = total_time
-    value, slope = phi(t)
+    value, slope = yield from phi(t)
     for _ in range(options.max_bisect):
         if not (math.isfinite(value) and slope > 0.0):
             return None
@@ -485,7 +505,7 @@ def _largest_phi_root(
         if step >= t:
             return None
         t -= step
-        value, slope = phi(t)
+        value, slope = yield from phi(t)
         if value <= 0.0:
             return t
     return None
@@ -509,7 +529,27 @@ def solve_with_allocation(
     one allocator call per probe).  There the harvest constraint is met with
     equality by the maximum-ratio covariance ``c h h^H``, whose beam is
     ``sqrt(S / (eta ||h||^4 tau1)) h`` up to a global phase.
+
+    The search is :func:`_outer_steps`, whose every request is a ``tau2``
+    that ``allocator`` answers.
     """
+    return _run(_outer_steps(params, chan, _ask, options), lambda ts: [allocator(t) for t in ts])
+
+
+def _ask(request):
+    """A search that yields ``request`` and returns the kernel's answer."""
+    return (yield request)
+
+
+def _outer_steps(
+    params: SystemParams,
+    chan: ChannelRealization,
+    allocation: Callable[[float], Generator],
+    options: SolverOptions,
+) -> Generator[object, object, Solution]:
+    """:func:`solve_with_allocation` as a search: ``allocation(tau2)`` is
+    the search for ``(gamma, slope)`` at ``tau2``, and its requests pass
+    through."""
     _validate_instance(params, chan)
     if params.mi_floor == 0.0 and params.rate_floor == 0.0:
         return Solution.empty(SolveStatus.ZERO_DEMAND, params)
@@ -523,13 +563,13 @@ def solve_with_allocation(
     total_time = params.total_time
     probe: tuple[np.ndarray, float] = (np.zeros(0), 0.0)
 
-    def phi(t2: float) -> tuple[float, float]:
+    def phi(t2: float) -> Generator[object, object, tuple[float, float]]:
         nonlocal probe
-        gamma, slope = allocator(t2)
+        gamma, slope = yield from allocation(t2)
         probe = gamma, float(np.sum(gamma))
         return probe[1] - budget_rate * (total_time - t2), slope + budget_rate
 
-    tau2 = _largest_phi_root(phi, total_time, options)
+    tau2 = yield from _largest_phi_root(phi, total_time, options)
     if tau2 is None:
         return Solution.empty(SolveStatus.INFEASIBLE, params)
 
@@ -549,6 +589,58 @@ def solve_with_allocation(
         energy=trace,
         covariance_bar=q_bar,
     )
+
+
+def _run(steps: Generator, kernel: Callable[[list], list]):
+    """Drive one search: answer each request it yields with ``kernel`` (on
+    a list of one) until it returns, and return its value."""
+    answer = None
+    while True:
+        try:
+            request = steps.send(answer)
+        except StopIteration as stop:
+            return stop.value
+        (answer,) = kernel([request])
+
+
+def _run_batch(searches: list[Generator], kernel: Callable[[list], list]) -> list:
+    """Drive searches in lockstep: each round, every search still running
+    gets its answer and yields its next request, and one kernel call
+    answers all of them.  Returns each search's value, or the exception it
+    raised.  A kernel call that raises is made again row by row, and its
+    exception is thrown into the search (``throw``) whose own request
+    raises it, so one row's failure leaves the others as they would run
+    alone."""
+    results: list = [None] * len(searches)
+    replies = [(i, None, None) for i in range(len(searches))]
+    while replies:
+        asked = []
+        for i, answer, error in replies:
+            try:
+                if error is None:
+                    request = searches[i].send(answer)
+                else:
+                    request = searches[i].throw(error)
+            except StopIteration as stop:
+                results[i] = stop.value
+            except Exception as exc:
+                results[i] = exc
+            else:
+                asked.append((i, request))
+        replies = _answers(asked, kernel) if asked else []
+    return results
+
+
+def _answers(asked: list, kernel: Callable[[list], list]) -> list:
+    """``(row, answer, error)`` for each ``(row, request)``, from one kernel
+    call, or from one call per row when the stacked call raises."""
+    try:
+        answers = kernel([request for _, request in asked])
+    except Exception as exc:
+        if len(asked) == 1:
+            return [(asked[0][0], None, exc)]
+        return [reply for pair in asked for reply in _answers([pair], kernel)]
+    return [(i, answer, None) for (i, _), answer in zip(asked, answers)]
 
 
 def _demand_slope(
@@ -598,6 +690,31 @@ def solve(
         return res.gamma, _demand_slope(res, t2, chan, params)
 
     return solve_with_allocation(params, chan, allocator, options)
+
+
+def _solve_batch(
+    rows: list[SystemParams], chan: ChannelRealization, options: SolverOptions = DEFAULT_OPTIONS
+) -> list:
+    """:func:`solve` for rows that differ only in their floors, on one
+    channel, in lockstep (:func:`_run_batch`): each row runs the same
+    searches as alone, and one stacked kernel call per round serves every
+    row's multiplier search.  Returns each row's ``Solution`` or the
+    exception its solve raised, equal to what :func:`solve` returns or
+    raises for that row alone."""
+    fill_r, fill_c = _single_floor_filling(chan.radar_snr), _single_floor_filling(chan.comm_snr)
+
+    def search(params: SystemParams) -> Generator:
+        last = DualPair(0.0, 0.0)
+
+        def allocation(t2: float) -> Generator:
+            nonlocal last
+            res = yield from _inner_steps(t2, chan, params, options, last, fill_r, fill_c)
+            last = res.duals
+            return res.gamma, _demand_slope(res, t2, chan, params)
+
+        return _outer_steps(params, chan, allocation, options)
+
+    return _run_batch([search(p) for p in rows], _jacobian_kernel(chan, rows[0].delta_f))
 
 
 def _validate_instance(params: SystemParams, chan: ChannelRealization) -> None:

@@ -325,14 +325,19 @@ class TestEqualPowerDemandBound:
         assert equal_power_demand_bound(params, chan) == math.inf
 
     def test_level_runs_once_per_floor_for_the_whole_grid(self, monkeypatch):
-        level = certify._common_gamma
+        link_level = certify._common_level
         sizes = []
 
-        def counted(snr, floor, tau2, *rest):
-            sizes.append(np.size(tau2))
-            return level(snr, floor, tau2, *rest)
+        def counted(*link):
+            level = link_level(*link)
 
-        monkeypatch.setattr(certify, "_common_gamma", counted)
+            def counted_level(floor, tau2):
+                sizes.append(np.size(tau2))
+                return level(floor, tau2)
+
+            return counted_level
+
+        monkeypatch.setattr(certify, "_common_level", counted)
         params, chan = next(criterion_1_instances())
         for steps in (1, 7, 200):
             sizes.clear()

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from wpirc import certify
-from wpirc.cli import EXIT_CONFIG, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, main
+from wpirc.cli import DEFAULTS, EXIT_CONFIG, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, load_config, main
 
 SMALL_SCENARIO = {
     "n_subcarriers": 2,
@@ -57,6 +57,30 @@ class TestConfigHandling:
         path = tmp_path / "bad.yaml"
         path.write_text("- just\n- a\n- list\n")
         assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("text", ["mi_floor: [1, 2\n", "mi_floor: 1: 2\n", "\tmi_floor: 1\n"])
+    def test_yaml_syntax_error_rejected(self, tmp_path, text):
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == EXIT_CONFIG
+
+    def test_configs_parse_as_with_the_pure_python_loader(self, tmp_path):
+        paper_units = {"delta_f": 2.5e5, "symbol_duration": 5e-6, "total_time": 1e-4,
+                       "power_cap": 50.0, "efficiency": 0.5}
+        sweep = {"n_subcarriers": 128, "rate_floor": 150.0, "sweep_values": [30.0, 54.4, 250.0],
+                 "schemes": ["op", "eq"], "trials": 1}
+        oracle = {"n_subcarriers": 2, "mi_floor": 17.4, "rate_floor": 38.1, "seed": 7}
+        texts = [
+            yaml.safe_dump(DEFAULTS),
+            yaml.safe_dump({**paper_units, **sweep}),
+            yaml.safe_dump({**paper_units, **oracle}),
+            # YAML 1.1 reads 1e-4 (no dot) as a string and ~ as null, with either parser
+            "total_time: 1e-4\noracle_gamma_max: ~\nschemes: [op]\nseed: 0x1f\n",
+        ]
+        for i, text in enumerate(texts):
+            path = tmp_path / f"config-{i}.yaml"
+            path.write_text(text)
+            assert load_config(str(path)) == {**DEFAULTS, **yaml.load(text, Loader=yaml.SafeLoader)}
 
     def test_missing_file_rejected(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path / "nope.yaml")]) == EXIT_CONFIG

@@ -18,7 +18,7 @@ from wpirc.solver import (
     DEFAULT_OPTIONS,
     _gamma_profile,
     _kkt_residual,
-    _single_constraint_gamma,
+    _single_floor_filling,
     subcarrier_gamma,
 )
 
@@ -40,8 +40,8 @@ def nested_brentq_multipliers(tau2, chan, params, max_iter=200):
     v, w = chan.radar_snr, chan.comm_snr
     r_r, r_c = params.mi_floor, params.rate_floor
     df = params.delta_f
-    _, level_a = _single_constraint_gamma(v, 2.0 * r_r / (df * tau2), tau2)
-    _, level_b = _single_constraint_gamma(w, r_c / (df * tau2), tau2)
+    _, level_a = _single_floor_filling(v)(2.0 * r_r / (df * tau2), tau2)
+    _, level_b = _single_floor_filling(w)(r_c / (df * tau2), tau2)
     lam_r1 = level_a * 2.0 * LN2 / df
     lam_c1 = level_b * LN2 / df
 
@@ -114,11 +114,11 @@ def test_any_start_in_the_box_converges(scale):
     params, chan = shape_instance("frontier-n16", 14)
     tau2 = T_TOTAL * (1 - 1e-9)
     cold = inner_allocation(tau2, chan, params)
-    _, level_a = _single_constraint_gamma(
-        chan.radar_snr, 2.0 * params.mi_floor / (params.delta_f * tau2), tau2
+    _, level_a = _single_floor_filling(chan.radar_snr)(
+        2.0 * params.mi_floor / (params.delta_f * tau2), tau2
     )
-    _, level_b = _single_constraint_gamma(
-        chan.comm_snr, params.rate_floor / (params.delta_f * tau2), tau2
+    _, level_b = _single_floor_filling(chan.comm_snr)(
+        params.rate_floor / (params.delta_f * tau2), tau2
     )
     start = DualPair(
         scale[0] * level_a * 2.0 * LN2 / params.delta_f,
@@ -168,7 +168,6 @@ def test_kkt_holds_over_extreme_snrs(data, n, small_floor, other_floor, small_is
     df = params.delta_f
     res_regen = _kkt_residual(
         res.duals,
-        regen,
         radar_mi(regen, v, tau2, df),
         comm_rate(regen, w, tau2, df),
         mi_floor,

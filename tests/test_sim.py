@@ -1,11 +1,13 @@
 import csv
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wpirc import SolveStatus, SweepConfig, run_sweep, sample_channel, write_csv
+from wpirc import SolveStatus, SweepConfig, eq_solve, run_sweep, sample_channel, solve, write_csv
 import wpirc.sim
+import wpirc.solver
 from wpirc.sim import CSV_COLUMNS, H_VARIANCE, SweepRow, trial_seed
 from wpirc.solver import SolverError
 
@@ -109,22 +111,33 @@ class TestRunSweep:
         assert trial_seed(99, 0) == trial_seed(99, 0)
         assert trial_seed(99, 0) != trial_seed(99, 1)
 
-    def test_threaded_sweep_matches_serial(self):
-        cfg = self.small_config()
-        assert run_sweep(cfg, threads=4) == run_sweep(cfg, threads=1)
-
     def test_failed_solve_is_logged_with_its_cause(self, monkeypatch, caplog):
-        def diverge(params, chan):
-            raise SolverError("multiplier search diverged")
+        inner_steps = wpirc.solver._inner_steps
 
-        monkeypatch.setattr(wpirc.sim, "solve", diverge)
+        def diverge_at_20_bits(tau2, chan, params, *rest):
+            if params.mi_floor == 20.0:
+                raise SolverError("multiplier search diverged")
+            return (yield from inner_steps(tau2, chan, params, *rest))
+
+        cfg = self.small_config(trials=1)
+        monkeypatch.setattr(wpirc.solver, "_inner_steps", diverge_at_20_bits)
         with caplog.at_level(logging.ERROR, logger="wpirc.sim"):
-            rows = run_sweep(self.small_config(sweep_values=(10.0,), trials=1))
-        assert [(r.scheme, r.status) for r in rows] == [("eq", "optimal"), ("op", "error")]
-        assert np.isnan(rows[1].energy)
+            rows = run_sweep(cfg)
+        monkeypatch.undo()
+        failed = [(r.scheme, r.sweep_value) for r in rows if r.status == "error"]
+        assert failed == [("op", 20.0)]
         (record,) = caplog.records
         assert "multiplier search diverged" in record.getMessage()
         assert record.exc_info[0] is SolverError
+        # every other row is what its solve gives alone
+        chan = sample_channel(trial_seed(cfg.master_seed, 0), cfg.base, 10.0, 10.0)
+        for row in rows:
+            params = replace(cfg.base, mi_floor=row.sweep_value)
+            if row.status == "error":
+                assert np.isnan(row.energy)
+                continue
+            sol = (solve if row.scheme == "op" else eq_solve)(params, chan)
+            assert (row.status, row.energy, row.tau2) == (sol.status.value, sol.energy, sol.tau2)
 
     def test_rejects_unsorted_sweep_values(self):
         with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from wpirc import (
 from wpirc.solver import (
     InfeasibleSignalError,
     _demand_slope,
-    _water_level,
+    _single_floor_filling,
     inner_dual_value,
     solve_with_allocation,
 )
@@ -30,6 +30,11 @@ from conftest import make_params
 
 LN2 = np.log(2.0)
 DF = 2.5e5
+
+
+def _water_level(snr, target_logsum):
+    """The single-floor water level of ``snr`` at one target."""
+    return _single_floor_filling(snr)(target_logsum, 1.0)[1]
 
 
 def duals_from_levels(A, B, v, w, delta_f=DF):

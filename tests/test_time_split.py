@@ -27,12 +27,24 @@ from wpirc import (
     solve,
 )
 import wpirc.benchmark
-from wpirc.benchmark import _common_gamma, _equal_power_allocation
+from wpirc.benchmark import _common_level, _equal_power_kernel
 from wpirc.sim import sample_channel
 from wpirc.solver import DEFAULT_OPTIONS, _demand_slope, solve_with_allocation
 
 from conftest import T_TOTAL, make_params
 from test_multiplier_search import SHAPES, shape_instance
+
+
+def _common_gamma(snr, floor, tau2, delta_f, half, max_iter):
+    """The equal-power level of one link at ``floor`` and ``tau2``, and its slope."""
+    return _common_level(snr, delta_f, half, max_iter)(floor, tau2)
+
+
+def _equal_power_allocation(tau2, chan, params, options):
+    """Equal-power profile at ``tau2`` and the slope of its total."""
+    kernel = _equal_power_kernel(chan, params.delta_f, options.max_bisect)
+    return kernel([(tau2, params.mi_floor, params.rate_floor)])[0]
+
 
 XTOL = DEFAULT_OPTIONS.time_tol * T_TOTAL
 ENERGY_RTOL = 1e-6
