@@ -21,8 +21,7 @@ from .model import (
     SolveStatus,
     SystemParams,
 )
-from .benchmark import _common_level
-from .solver import DEFAULT_OPTIONS, SolverError, mrt_covariance
+from .solver import DEFAULT_OPTIONS, SolverError, _mrt_solution, links
 
 __all__ = [
     "Certificate",
@@ -158,7 +157,7 @@ def equal_power_demand_bound(
     On every time split of the oracle's grid, the cheapest common
     per-subcarrier energy that meets both rate floors is the larger of the
     two floors' equal-power levels, each found for the whole grid at once
-    by the Newton iteration of :func:`wpirc.benchmark._common_level`.  The
+    by the Newton iteration of :meth:`wpirc.solver.Link.level`.  The
     cheapest budget-feasible equal-power point bounds the optimum, and so
     each gamma coordinate; it is the natural ``gamma_max`` for
     :func:`brute_force_oracle`.  Returns ``inf`` when no equal-power point
@@ -166,16 +165,13 @@ def equal_power_demand_bound(
     """
     total_time = params.total_time
     tau2 = np.linspace(total_time / tau2_steps, total_time, tau2_steps)
-    df, cap = params.delta_f, DEFAULT_OPTIONS.max_bisect
+    floors = zip(links(chan, params.delta_f), (params.mi_floor, params.rate_floor))
     try:
-        level = np.maximum(
-            _common_level(chan.radar_snr, df, True, cap)(params.mi_floor, tau2)[0],
-            _common_level(chan.comm_snr, df, False, cap)(params.rate_floor, tau2)[0],
-        )
+        levels = [link.level(floor, tau2, DEFAULT_OPTIONS.max_bisect)[0] for link, floor in floors]
     except SolverError:  # a floor no energy on an all-zero SNR vector can meet
         return math.inf
     hn2 = float(np.real(np.vdot(chan.h, chan.h)))
-    demand = params.n_subcarriers * level
+    demand = params.n_subcarriers * np.maximum(*levels)
     fits = demand <= params.efficiency * hn2 * params.power_cap * (total_time - tau2)
     return float(np.min(demand[fits], initial=math.inf))
 
@@ -277,24 +273,22 @@ def brute_force_oracle(
     rows = s_prefix.shape[1]
     block = max(1, ORACLE_BLOCK // max(rows, n))
 
+    floors = list(zip(links(chan, params.delta_f), (params.mi_floor, params.rate_floor)))
     best_s = np.inf
     best: tuple[float, np.ndarray] | None = None
     for start in range(0, grid.tau2_steps, block):
         t2 = tau2_axis[start : start + block, None]
-        half = 0.5 * params.delta_f * t2
         k = np.zeros((t2.shape[0], rows), dtype=np.intp)
-        for snr, scale, floor in (
-            (chan.radar_snr, half, params.mi_floor),
-            (chan.comm_snr, 2.0 * half, params.rate_floor),
-        ):
-            tables = [scale * np.log2(1.0 + g_axis * s / t2) for s in snr]
+        for link, floor in floors:
+            scale = link.scale * t2
+            tables = [scale * np.log2(1.0 + g_axis * s / t2) for s in link.snr]
             if not (np.diff(tables[-1], axis=1) >= 0.0).all():
                 raise SolverError("oracle rate term is not nondecreasing in gamma")
             p = prefix(tables)
             # an unreachable or free floor, a zero SNR or a one-point axis
             # give an infinite or NaN guess, which the clip turns into an end
             with np.errstate(all="ignore"):
-                x = np.expm1((floor - p) * (LN2 / scale)) * t2 / (snr[-1] * g_step)
+                x = np.expm1((floor - p) * (LN2 / scale)) * t2 / (link.snr[-1] * g_step)
                 guess = np.fmin(np.fmax(np.ceil(x), 0.0), n).astype(np.intp)
             k = np.maximum(k, _first_meeting(p, tables[-1], floor, guess))
         energy = s_prefix + g_axis[np.minimum(k, n - 1)]
@@ -310,16 +304,6 @@ def brute_force_oracle(
     if best is None:
         return Solution.empty(SolveStatus.INFEASIBLE, params)
 
-    tau2, gamma = best
-    tau1 = total_time - tau2
-    q_bar, trace = mrt_covariance(chan.h, best_s, params.efficiency)
-    beam = rank_one_extract(q_bar, tau1) if tau1 > 0 else np.zeros_like(chan.h)
-    return Solution(
-        status=SolveStatus.OPTIMAL,
-        beam_vector=beam,
-        tau1=tau1,
-        tau2=tau2,
-        gamma=np.asarray(gamma, dtype=float),
-        energy=trace,
-        covariance_bar=q_bar,
-    )
+    # a positive floor needs positive energy, which a fitting point has only
+    # where tau2 < T
+    return _mrt_solution(params, chan.h, *best, best_s)

@@ -7,6 +7,7 @@ unknown key is rejected.  Exit codes: 0 success, 1 malformed config,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import fields, replace
 
@@ -202,7 +203,9 @@ def _cmd_oracle_check(cfg: dict) -> int:
     return EXIT_OK if rel <= float(cfg["oracle_rel_tol"]) else EXIT_ERROR
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building it costs ten parses."""
     parser = argparse.ArgumentParser(
         prog="wpirc",
         description="Minimum-energy allocation for a wireless-powered radar-communication link",
@@ -214,7 +217,11 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, help="override the channel seed")
         p.add_argument("--out", help="override the output CSV path (sweep)")
         p.add_argument("--trials", type=int, help="override the trial count (sweep)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         cfg = load_config(args.config)

@@ -184,18 +184,16 @@ def radar_mi(gamma, radar_snr, tau2: float, delta_f: float) -> float:
     """Conditional mutual information of the sensing link, in bits.
 
     The perspective form ``(delta_f * tau2 / 2) * sum log2(1 + gamma_m *
-    v_m / tau2)``; the ``tau2 -> 0`` limit is defined as 0.
+    v_m / tau2)``: the :func:`comm_rate` of half the bandwidth.
     """
-    gamma, snr = _checked_rate_inputs(gamma, radar_snr, tau2)
-    if tau2 == 0.0:
-        return 0.0
-    return float(0.5 * delta_f * tau2 * np.sum(np.log2(1.0 + gamma * snr / tau2)))
+    return comm_rate(gamma, radar_snr, tau2, 0.5 * delta_f)
 
 
 def comm_rate(gamma, comm_snr, tau2: float, delta_f: float) -> float:
     """Total data rate of the communication link, in bits.
 
-    Same perspective form as :func:`radar_mi` without the 1/2 prefactor.
+    The perspective form ``delta_f * tau2 * sum log2(1 + gamma_m * w_m /
+    tau2)``; the ``tau2 -> 0`` limit is defined as 0.
     """
     gamma, snr = _checked_rate_inputs(gamma, comm_snr, tau2)
     if tau2 == 0.0:

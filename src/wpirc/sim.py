@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -26,19 +26,6 @@ __all__ = ["SweepConfig", "SweepRow", "sample_channel", "run_sweep", "write_csv"
 logger = logging.getLogger(__name__)
 
 H_VARIANCE = 0.2  # per-entry variance of the station-to-transmitter gains
-
-CSV_COLUMNS = (
-    "scheme",
-    "sweep_value",
-    "trial",
-    "seed",
-    "status",
-    "energy",
-    "tau1",
-    "tau2",
-    "achieved_mi",
-    "achieved_rate",
-)
 
 
 @dataclass(frozen=True)
@@ -82,6 +69,9 @@ class SweepRow:
     tau2: float
     achieved_mi: float
     achieved_rate: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
 def sample_channel(
@@ -191,19 +181,7 @@ def write_csv(rows: list[SweepRow], path) -> None:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(CSV_COLUMNS)
             for r in rows:
-                writer.writerow(
-                    [
-                        r.scheme,
-                        _fmt(r.sweep_value),
-                        r.trial,
-                        r.seed,
-                        r.status,
-                        _fmt(r.energy),
-                        _fmt(r.tau1),
-                        _fmt(r.tau2),
-                        _fmt(r.achieved_mi),
-                        _fmt(r.achieved_rate),
-                    ]
-                )
+                values = (getattr(r, name) for name in CSV_COLUMNS)
+                writer.writerow([_fmt(v) if isinstance(v, float) else v for v in values])
     except OSError as exc:
         raise OSError(f"failed to write sweep CSV to {path}: {exc}") from exc

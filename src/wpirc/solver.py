@@ -12,7 +12,9 @@ inner allocation give its slope.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Generator, Optional
 
 import numpy as np
@@ -68,6 +70,7 @@ class InnerResult:
     duals: DualPair
     stationarity_residual: float
     active: str  # "none" | "mi" | "rate" | "both"
+    slope: float  # d sum(gamma) / d tau2
 
 
 @dataclass(frozen=True)
@@ -127,44 +130,172 @@ def subcarrier_gamma(
     return float(out[0])
 
 
-def _single_floor_filling(snr: np.ndarray) -> Callable[[float, float], tuple]:
-    """Exact single-constraint water-filling of one link, sorted once.
+_LOG_MAX = math.log(sys.float_info.max)
+_TINY = sys.float_info.min  # smallest normal float
 
-    Returns ``fill(target_logsum, tau2) -> (gamma, a)``: the water level
-    ``a`` at which ``sum over active of log2(a * snr_m)`` equals
-    ``target_logsum`` with active set ``{m : a * snr_m > 1}``, and the
-    optimal profile ``tau2 * max(0, a - 1/snr_m)``.  With the SNRs ``v``
-    sorted in decreasing order and ``L_k`` the sum of the first ``k``
-    ``log2 v``, the ``k`` strongest subcarriers are active at ``a = 2**((t
-    - L_k) / k)``, which puts the k-th above water and the (k+1)-th not
-    exactly when ``theta_k <= t < theta_(k+1)`` for ``theta_k = L_k - k
-    log2 v_k``, a nondecreasing sequence from ``theta_1 = 0``.  A level
-    past ``2**1000`` reads ``inf``.
+
+class Link:
+    """One link's floor and the allocations that meet or maximize it.
+
+    A floor is ``bits = scale tau2 sum log2(1 + x_m s_m)`` over the link's
+    SNRs ``s`` and the powers ``x = gamma / tau2``, a perspective of a
+    concave function, with ``scale = delta_f / 2`` for the sensing MI and
+    ``delta_f`` for the data rate (:func:`links`).  Each method builds the
+    tables it needs on first use and keeps them, so no caller pays for the
+    tables of another.
     """
-    pos = snr > 0
-    inv = np.divide(1.0, snr, out=np.full_like(snr, np.inf), where=pos)
-    log_v = np.log2(np.sort(snr[pos])[::-1])
-    log_sum = np.cumsum(log_v)
-    theta = log_sum - np.arange(1, log_v.size + 1) * log_v
 
-    def fill(target_logsum: float, tau2: float) -> tuple[np.ndarray, float]:
-        if log_v.size == 0:
+    def __init__(self, snr: np.ndarray, scale: float) -> None:
+        self.snr = snr
+        self.scale = scale
+
+    @cached_property
+    def _filled(self) -> tuple:
+        """Tables of :meth:`fill`: with the positive SNRs in decreasing
+        order, the sums ``L_k`` of their first ``k`` log2 and ``theta_k = L_k
+        - k log2 s_k``; and ``1 / s`` in the link's order (inf at 0)."""
+        pos = self.snr > 0
+        log_s = np.log2(np.sort(self.snr[pos])[::-1])
+        log_sum = np.cumsum(log_s)
+        inv = np.divide(1.0, self.snr, out=np.full_like(self.snr, np.inf), where=pos)
+        return log_sum, log_sum - np.arange(1, log_s.size + 1) * log_s, inv
+
+    @cached_property
+    def _poured(self) -> tuple:
+        """Tables of :meth:`pour`: the same ``L_k``, the sums ``C_k`` of the
+        first ``k`` inverses and ``k / s_k - C_k``; and the same ``1 / s``."""
+        pos = self.snr > 0
+        s = np.sort(self.snr[pos])[::-1]
+        inv_sum = np.cumsum(1.0 / s)
+        inv = np.divide(1.0, self.snr, out=np.full_like(self.snr, np.inf), where=pos)
+        return np.cumsum(np.log2(s)), inv_sum, np.arange(1, s.size + 1) / s - inv_sum, inv
+
+    @cached_property
+    def _level_sums(self) -> tuple:
+        """The positive SNRs in their own order, their sum, largest value
+        and sum of logs, and the ``u`` past which ``e^u s`` overflows."""
+        s = self.snr[self.snr > 0]
+        s_max = float(np.maximum.reduce(s, initial=0.0))
+        log_sum = float(np.add.reduce(np.log(s)))
+        return s, float(np.add.reduce(s)), s_max, log_sum, _LOG_MAX - math.log(max(s_max, 1.0))
+
+    def bits(self, x, tau2: float) -> float:
+        """The floor's bits at the powers ``x`` (an array or one common value)."""
+        # log1p keeps the floor accurate when x s is far below 1
+        return self.scale / LN2 * tau2 * float(np.add.reduce(np.log1p(x * self.snr)))
+
+    def fill(self, floor: float, tau2: float) -> tuple[np.ndarray, float]:
+        """Least powers that meet ``floor`` at ``tau2``, and its multiplier.
+
+        Exact single-floor water-filling: ``x = max(0, a - 1/s)`` with the
+        water level ``a`` at which ``sum over active of log2(a s_m)`` equals
+        the target ``t = floor / (scale tau2)``, active set ``{m : a s_m >
+        1}``.  The ``k`` strongest subcarriers are active at ``a = 2**((t -
+        L_k) / k)``, which puts the k-th above water and the (k+1)-th not
+        exactly when ``theta_k <= t < theta_(k+1)``, a nondecreasing sequence
+        from ``theta_1 = 0``.  The floor's multiplier is ``a ln 2 / scale``.
+        A level past ``2**1000`` reads ``inf``, the multiplier too.
+        """
+        log_sum, theta, inv = self._filled
+        if not log_sum.size:
             raise SolverError("rate floor demanded over an all-zero SNR vector")
+        target = floor / (self.scale * tau2)
         # below theta_1 = 0 no level is consistent: all subcarriers count as active
-        k = int(np.searchsorted(theta, target_logsum, side="right")) or log_v.size
-        exponent = (target_logsum - float(log_sum[k - 1])) / k
+        k = int(np.searchsorted(theta, target, side="right")) or log_sum.size
+        exponent = (target - float(log_sum[k - 1])) / k
         if exponent > 1000.0:
-            return np.where(pos, math.inf, 0.0), math.inf
+            return np.where(self.snr > 0, math.inf, 0.0), math.inf
         level = 2.0**exponent
-        return tau2 * np.maximum(level - inv, 0.0), level
+        return np.maximum(level - inv, 0.0), level * LN2 / self.scale
 
-    return fill
+    def level(self, floor, tau2, max_iter: int) -> tuple:
+        """Smallest common per-subcarrier energy meeting ``floor``, and its
+        slope in ``tau2``.
+
+        The common power ``x = gamma / tau2`` solves ``F(u) = sum log1p(e^u
+        s) = target`` in ``u = log x``, with ``target = floor ln 2 / (scale
+        tau2)``.  ``F`` is convex and increasing.  Over ``s > 0``, ``sum
+        log(e^u s) <= F(u)`` makes ``u0 = (target - sum log s) / N+`` an
+        upper bound on the root, and ``log1p(z) >= 2z / (2 + z)`` gives ``F
+        >= 2xS / (2 + x s_max)`` with ``S = sum s``, so ``x = 2 target / (2S
+        - target s_max)`` is one too where it is positive; the iteration
+        starts at the smaller.  Newton steps from there fall monotonically
+        and every iterate meets the floor.  As ``F'' <= F'``, a step of size
+        ``d`` leaves an error under ``d^2 / 2``, so the iteration ends after
+        a step under 1e-8, the rounding-level step up from a gap just below
+        zero included; ``max_iter`` caps the steps.  A start at which ``e^u``
+        or ``e^u s`` overflows means that no finite energy meets the floor:
+        the level is then ``inf``.  A target below ``S`` times the smallest
+        normal float, a zero floor's included, has a level below the float
+        range: it reads 0, with slope 0.  Implicit differentiation of ``F(u)
+        = target`` gives the slope ``x (1 - target / F'(u))``, with ``F'``
+        taken at the returned level.
+
+        ``floor`` and ``tau2`` may be arrays: every element of their
+        broadcast runs the same iteration at once and stops on its own rule,
+        and both results take its shape.
+        """
+        s, total, s_max, log_sum, u_max = self._level_sums
+        target = floor * LN2 / self.scale / np.asarray(tau2, dtype=float)
+        shape = np.shape(target)
+        if not s.size:
+            if np.any(target > 0.0):
+                raise SolverError("rate floor demanded over an all-zero SNR vector")
+            return np.zeros(shape)[()], np.zeros(shape)[()]
+        target = np.reshape(target, -1)
+        below = target < _TINY * total
+        # the iteration runs on a stand-in where the level reads 0
+        target = np.maximum(target, _TINY * total)
+        u0 = (target - log_sum) / s.size
+        # 1 / x of the second bound where it holds (inv > 0); elsewhere u0 stands
+        inv = total / target - 0.5 * s_max
+        u = np.minimum(u0, -np.log(inv, out=-u0, where=inv > 0.0))
+        finite = u < u_max
+        u = np.where(finite, u, 0.0)  # kept harmless while the finite levels iterate
+        live = finite
+        for _ in range(max_iter):
+            xs = np.exp(u)[:, None] * s
+            grad = np.add.reduce(xs / (1.0 + xs), 1)
+            if not np.count_nonzero(live):
+                break
+            step = (np.add.reduce(np.log1p(xs), 1) - target) / grad * live
+            u -= step
+            live = step > 1e-8
+        x = np.where(below, 0.0, np.exp(u))
+        # a level near the float limit can have a slope past it: that reads -inf
+        with np.errstate(over="ignore"):
+            gamma = np.where(finite, x, math.inf).reshape(shape) * tau2
+            slope = np.where(finite, x * (1.0 - target / grad), -math.inf)
+        return gamma[()], slope.reshape(shape)[()]
+
+    def pour(self, total: float) -> tuple[float, float, np.ndarray]:
+        """Water-filling of the total power ``total > 0``: ``(G, dG/dtotal,
+        x)`` with ``G = sum log2(1 + x s)``; the link needs a positive SNR.
+
+        The powers are ``x = max(0, a - 1/s)`` with ``sum x = total``.  The
+        ``k`` strongest subcarriers are above water when ``total`` exceeds
+        ``k / s_k - C_k``, and then ``a = (total + C_k) / k``, ``G = k log2 a
+        + L_k`` and ``dG/dtotal = 1 / (a ln 2)``.
+        """
+        log_sum, inv_sum, theta, inv = self._poured
+        k = int(np.searchsorted(theta, total))  # theta[0] = 0 < total
+        a = (total + inv_sum[k - 1]) / k
+        return k * math.log2(a) + log_sum[k - 1], 1.0 / (a * LN2), np.maximum(a - inv, 0.0)
+
+    def spread(self, total: float) -> tuple[float, float, float]:
+        """The even split of the total power ``total``: ``(G, dG/dtotal,
+        x)`` with the power ``x = total / N_c`` on every subcarrier and ``G
+        = sum log2(1 + x s)``."""
+        n = self.snr.size
+        x = total / n
+        y = x * self.snr
+        grad = float(np.add.reduce(self.snr / (1.0 + y))) / (n * LN2)
+        return float(np.add.reduce(np.log1p(y))) / LN2, grad, x
 
 
-def _bits(gamma: np.ndarray, snr: np.ndarray, tau2: float, scale: float) -> float:
-    """``scale * tau2 * sum log1p(gamma snr / tau2)``: the sensing MI with
-    ``scale = delta_f / (2 ln 2)``, the data rate with ``delta_f / ln 2``."""
-    return scale * tau2 * float(np.add.reduce(np.log1p(gamma * snr / tau2)))
+def links(chan: ChannelRealization, delta_f: float) -> tuple[Link, Link]:
+    """The sensing and data links of a channel."""
+    return Link(chan.radar_snr, 0.5 * delta_f), Link(chan.comm_snr, delta_f)
 
 
 def inner_allocation(
@@ -177,74 +308,81 @@ def inner_allocation(
     """Minimize total transmit-phase energy subject to both rate floors.
 
     Returns the optimal ``gamma`` together with the dual pair that
-    regenerates it through :func:`subcarrier_gamma`.  The two
+    regenerates it through :func:`subcarrier_gamma`, and the slope of the
+    least energy in ``tau2`` (:func:`_inner_result`).  The two
     single-constraint cases are solved in closed form first; only when
     both floors bind does the safeguarded Newton search of
     :func:`_both_floor_multipliers` run, starting from ``start`` (for
     example the duals of a nearby ``tau2``) when it is given.
     """
-    fill_r, fill_c = _single_floor_filling(chan.radar_snr), _single_floor_filling(chan.comm_snr)
-    steps = _inner_steps(tau2, chan, params, options, start, fill_r, fill_c)
+    steps = _inner_steps(tau2, links(chan, params.delta_f), params, options, start)
     return _run(steps, _jacobian_kernel(chan, params.delta_f))
 
 
 def _inner_steps(
     tau2: float,
-    chan: ChannelRealization,
+    pair: tuple[Link, Link],
     params: SystemParams,
     options: SolverOptions,
     start: Optional[DualPair],
-    fill_r: Callable,
-    fill_c: Callable,
 ) -> Generator[tuple, tuple, InnerResult]:
     """:func:`inner_allocation` as a search that yields its profile
-    evaluations (:func:`_jacobian_kernel`), with the single-floor
-    water-fillings of both links given."""
+    evaluations (:func:`_jacobian_kernel`), on the channel's sensing and
+    data links (:func:`links`)."""
     if tau2 <= 0:
         raise ValueError("tau2 must be positive")
-    v = chan.radar_snr
-    w = chan.comm_snr
+    radar, comm = pair
     r_r, r_c = params.mi_floor, params.rate_floor
-    df = params.delta_f
-    scale_r, scale_c = 0.5 * df / LN2, df / LN2
 
     if r_r == 0.0 and r_c == 0.0:
-        return InnerResult(np.zeros_like(v), DualPair(0.0, 0.0), 0.0, "none")
+        return _inner_result(np.zeros_like(radar.snr), 0.0, 0.0, 0.0, 0.0, tau2, params, "none")
 
     tol_r = options.dual_tol * max(1.0, r_r)
     tol_c = options.dual_tol * max(1.0, r_c)
 
-    # a water level past 2**1000 means no finite profile meets that floor
+    # an infinite multiplier means no finite profile meets that floor: its
+    # result is returned with infinite bits on both links
     lam_r1 = lam_c1 = 0.0
     if r_r > 0.0:
-        g1, level_a = fill_r(2.0 * r_r / (df * tau2), tau2)
-        lam_r1 = level_a * 2.0 * LN2 / df
-        if math.isinf(level_a):
-            return InnerResult(g1, DualPair(lam_r1, 0.0), math.inf, "mi")
-        rate = _bits(g1, w, tau2, scale_c)
+        x, lam_r1 = radar.fill(r_r, tau2)
+        rate = comm.bits(x, tau2) if lam_r1 < math.inf else math.inf
         if rate >= r_c - tol_c:
-            duals = DualPair(lam_r1, 0.0)
-            res = _kkt_residual(duals, _bits(g1, v, tau2, scale_r), rate, r_r, r_c)
-            return InnerResult(g1, duals, res, "mi")
+            mi = radar.bits(x, tau2)
+            return _inner_result(tau2 * x, lam_r1, 0.0, mi, rate, tau2, params, "mi")
     if r_c > 0.0:
-        g2, level_b = fill_c(r_c / (df * tau2), tau2)
-        lam_c1 = level_b * LN2 / df
-        if math.isinf(level_b):
-            return InnerResult(g2, DualPair(0.0, lam_c1), math.inf, "rate")
-        mi = _bits(g2, v, tau2, scale_r)
+        x, lam_c1 = comm.fill(r_c, tau2)
+        mi = radar.bits(x, tau2) if lam_c1 < math.inf else math.inf
         if mi >= r_r - tol_r:
-            duals = DualPair(0.0, lam_c1)
-            res = _kkt_residual(duals, mi, _bits(g2, w, tau2, scale_c), r_r, r_c)
-            return InnerResult(g2, duals, res, "rate")
+            rate = comm.bits(x, tau2)
+            return _inner_result(tau2 * x, 0.0, lam_c1, mi, rate, tau2, params, "rate")
 
     lam_r, lam_c, gamma, mi, rate = yield from _both_floor_multipliers(
         tau2, r_r, r_c, lam_r1, lam_c1, start, options
     )
-    duals = DualPair(lam_r, lam_c)
-    res = _kkt_residual(duals, mi, rate, r_r, r_c)
-    if res > 1e3 * options.dual_tol:
+    result = _inner_result(gamma, lam_r, lam_c, mi, rate, tau2, params, "both")
+    if (res := result.stationarity_residual) > 1e3 * options.dual_tol:
         raise SolverError(f"inner allocation did not converge (residual {res:.3e})")
-    return InnerResult(gamma, duals, res, "both")
+    return result
+
+
+def _inner_result(gamma, lam_r, lam_c, mi, rate, tau2, params, active) -> InnerResult:
+    """The inner allocation's result from its profile, multipliers, MI and
+    rate, with the KKT residual and the slope of the least energy in ``tau2``.
+
+    The least energy ``D(r_r, r_c, tau2)`` is positively homogeneous of
+    degree 1, since both floors are perspectives, and ``dD/dr`` is each
+    floor's multiplier, so by Euler's theorem ``dD/dtau2 = (D - lambda_r
+    r_r - lambda_c r_c) / tau2``.  With the MI and rate the profile reaches
+    in place of the floors, this equals the envelope theorem's slope
+    wherever the profile is stationary.  An unreachable floor (infinite
+    residual, infinite demand) has slope ``-inf``.
+    """
+    duals = DualPair(lam_r, lam_c)
+    res = _kkt_residual(duals, mi, rate, params.mi_floor, params.rate_floor)
+    if math.isinf(res):
+        return InnerResult(gamma, duals, res, active, -math.inf)
+    slope = (float(np.add.reduce(gamma)) - lam_r * mi - lam_c * rate) / tau2
+    return InnerResult(gamma, duals, res, active, slope)
 
 
 def _floor_jacobian(lambda_r, lambda_c, v, w, tau2, delta_f) -> tuple:
@@ -526,9 +664,8 @@ def solve_with_allocation(
     profile meets is reported as infinite demand.  The demand is convex in
     ``tau2``, so ``phi(tau2) = sum(gamma) - eta ||h||^2 P (T - tau2)`` is
     too, and the optimal slot is its largest root (:func:`_largest_phi_root`,
-    one allocator call per probe).  There the harvest constraint is met with
-    equality by the maximum-ratio covariance ``c h h^H``, whose beam is
-    ``sqrt(S / (eta ||h||^4 tau1)) h`` up to a global phase.
+    one allocator call per probe).  There the maximum-ratio covariance meets
+    the harvest constraint with equality (:func:`_mrt_solution`).
 
     The search is :func:`_outer_steps`, whose every request is a ``tau2``
     that ``allocator`` answers.
@@ -573,10 +710,18 @@ def _outer_steps(
     if tau2 is None:
         return Solution.empty(SolveStatus.INFEASIBLE, params)
 
-    tau1 = total_time - tau2
-    gamma, total = probe  # the search returns its last probe
+    return _mrt_solution(params, h, tau2, *probe)  # the search returns its last probe
+
+
+def _mrt_solution(params, h, tau2, gamma, total) -> Solution:
+    """The optimal point with time split ``tau2 < T`` and profile ``gamma``
+    of total ``total``: the maximum-ratio covariance ``c h h^H`` meets the
+    harvest with equality, and its beam is ``sqrt(S / (eta ||h||^4 tau1))
+    h``, phased as :func:`wpirc.certify.rank_one_extract` phases the
+    leading eigenvector, first nonvanishing entry real."""
+    hn2 = float(np.real(np.vdot(h, h)))
+    tau1 = params.total_time - tau2
     q_bar, trace = mrt_covariance(h, total, params.efficiency)
-    # the phase of certify.rank_one_extract: first nonvanishing entry real
     lead = h[np.flatnonzero(np.abs(h) > 1e-12 * math.sqrt(hn2))[0]]
     scale = math.sqrt(total / (params.efficiency * hn2 * hn2 * tau1))
     beam = (scale * np.conj(lead) / abs(lead)) * h
@@ -643,33 +788,6 @@ def _answers(asked: list, kernel: Callable[[list], list]) -> list:
     return [(i, answer, None) for (i, _), answer in zip(asked, answers)]
 
 
-def _demand_slope(
-    res: InnerResult, tau2: float, chan: ChannelRealization, params: SystemParams
-) -> float:
-    """Slope ``d sum(gamma) / d tau2`` of the inner allocation's optimum.
-
-    By the envelope theorem it is the ``tau2``-derivative of the Lagrangian
-    at the optimal profile and duals.  A floor term ``tau2 log1p(y)`` with
-    ``y = gamma snr / tau2`` has derivative ``log1p(y) - y / (1 + y)`` in
-    ``tau2``, so the slope is ``-lambda_r (delta_f / 2) sum[...]_v / ln 2 -
-    lambda_c delta_f sum[...]_w / ln 2``.  An unreachable floor (infinite
-    residual, infinite demand) has slope ``-inf``.
-    """
-    if math.isinf(res.stationarity_residual):
-        return -math.inf
-    x = res.gamma / tau2
-
-    def floor_slope(snr: np.ndarray) -> float:
-        y = x * snr
-        return float(np.sum(np.log1p(y) - y / (1.0 + y))) / LN2
-
-    df = params.delta_f
-    return -(
-        res.duals.lambda_r * 0.5 * df * floor_slope(chan.radar_snr)
-        + res.duals.lambda_c * df * floor_slope(chan.comm_snr)
-    )
-
-
 def solve(
     params: SystemParams,
     chan: ChannelRealization,
@@ -678,8 +796,8 @@ def solve(
     """Jointly optimal time split, subcarrier energies and beamformer.
 
     Each inner allocation starts its multiplier search from the duals of
-    the previous ``tau2`` probe, and its duals give the slope of the
-    demand (:func:`_demand_slope`) for the outer Newton step.
+    the previous ``tau2`` probe, and gives the slope of the demand for the
+    outer Newton step.
     """
     last = DualPair(0.0, 0.0)
 
@@ -687,7 +805,7 @@ def solve(
         nonlocal last
         res = inner_allocation(t2, chan, params, options, start=last)
         last = res.duals
-        return res.gamma, _demand_slope(res, t2, chan, params)
+        return res.gamma, res.slope
 
     return solve_with_allocation(params, chan, allocator, options)
 
@@ -701,16 +819,16 @@ def _solve_batch(
     row's multiplier search.  Returns each row's ``Solution`` or the
     exception its solve raised, equal to what :func:`solve` returns or
     raises for that row alone."""
-    fill_r, fill_c = _single_floor_filling(chan.radar_snr), _single_floor_filling(chan.comm_snr)
+    pair = links(chan, rows[0].delta_f)
 
     def search(params: SystemParams) -> Generator:
         last = DualPair(0.0, 0.0)
 
         def allocation(t2: float) -> Generator:
             nonlocal last
-            res = yield from _inner_steps(t2, chan, params, options, last, fill_r, fill_c)
+            res = yield from _inner_steps(t2, pair, params, options, last)
             last = res.duals
-            return res.gamma, _demand_slope(res, t2, chan, params)
+            return res.gamma, res.slope
 
         return _outer_steps(params, chan, allocation, options)
 

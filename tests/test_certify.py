@@ -25,7 +25,7 @@ from wpirc import (
 from wpirc import certify
 from wpirc.certify import equal_power_demand_bound
 from wpirc.sim import sample_channel
-from wpirc.solver import SolverError
+from wpirc.solver import Link, SolverError, _mrt_solution
 
 from conftest import make_params
 
@@ -71,7 +71,9 @@ def dense_grid_oracle(params, chan, grid):
 
     For every ``tau2`` step it builds the whole ``gamma_steps ** N_c`` grid
     of MI, rate and energy, masks it and takes the first C-order minimum,
-    keeping the first step with a strictly smaller one.
+    keeping the first step with a strictly smaller one.  The best point's
+    ``Solution`` is assembled as the solvers assemble theirs; its beam is
+    checked against :func:`rank_one_extract` on its own.
     """
     nc = params.n_subcarriers
     if params.mi_floor == 0.0 and params.rate_floor == 0.0:
@@ -119,18 +121,7 @@ def dense_grid_oracle(params, chan, grid):
         return Solution.empty(SolveStatus.INFEASIBLE, params)
 
     tau2, gamma = best
-    tau1 = total_time - tau2
-    q_bar, trace = mrt_covariance(chan.h, best_s, params.efficiency)
-    beam = rank_one_extract(q_bar, tau1) if tau1 > 0 else np.zeros_like(chan.h)
-    return Solution(
-        status=SolveStatus.OPTIMAL,
-        beam_vector=beam,
-        tau1=tau1,
-        tau2=tau2,
-        gamma=np.asarray(gamma, dtype=float),
-        energy=trace,
-        covariance_bar=q_bar,
-    )
+    return _mrt_solution(params, chan.h, tau2, gamma, best_s)
 
 
 def criterion_1_instances():
@@ -325,19 +316,14 @@ class TestEqualPowerDemandBound:
         assert equal_power_demand_bound(params, chan) == math.inf
 
     def test_level_runs_once_per_floor_for_the_whole_grid(self, monkeypatch):
-        link_level = certify._common_level
+        link_level = Link.level
         sizes = []
 
-        def counted(*link):
-            level = link_level(*link)
+        def counted(link, floor, tau2, max_iter):
+            sizes.append(np.size(tau2))
+            return link_level(link, floor, tau2, max_iter)
 
-            def counted_level(floor, tau2):
-                sizes.append(np.size(tau2))
-                return level(floor, tau2)
-
-            return counted_level
-
-        monkeypatch.setattr(certify, "_common_level", counted)
+        monkeypatch.setattr(Link, "level", counted)
         params, chan = next(criterion_1_instances())
         for steps in (1, 7, 200):
             sizes.clear()
@@ -391,6 +377,17 @@ class TestBruteForceOracle:
         ref = brute_force_oracle(params, chan, oracle_grid(params, chan, 100, 100))
         assert sol.status is SolveStatus.INFEASIBLE
         assert ref.status is SolveStatus.INFEASIBLE
+
+    def test_beam_is_the_leading_eigenvector(self):
+        n_optimal = 0
+        for params, chan in criterion_1_instances():
+            sol = brute_force_oracle(params, chan, oracle_grid(params, chan))
+            if sol.status is not SolveStatus.OPTIMAL:
+                continue
+            n_optimal += 1
+            ref = rank_one_extract(sol.covariance_bar, sol.tau1)
+            assert np.max(np.abs(sol.beam_vector - ref)) <= 1e-12 * np.linalg.norm(ref)
+        assert n_optimal >= 40
 
     def test_too_many_subcarriers_rejected(self):
         params = make_params(n_subcarriers=4, mi_floor=1.0)

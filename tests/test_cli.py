@@ -1,4 +1,8 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,3 +185,31 @@ class TestOracleCheckCommand:
     def test_rejects_large_instance(self, tmp_path):
         path = write_config(tmp_path, {"n_subcarriers": 8})
         assert main(["oracle-check", "--config", path]) == EXIT_CONFIG
+
+
+def test_calls_in_one_process_match_calls_in_separate_ones(tmp_path, capsys):
+    # the parser is built once per process: later calls must not see what
+    # earlier ones parsed
+    sweep = write_config(tmp_path, {"sweep_values": [10.0, 20.0], "trials": 3}, "sweep.yaml")
+    bad = write_config(tmp_path, {"not_a_key": 1}, "bad.yaml")
+    calls = [
+        ["sweep", "--config", sweep, "--trials", "1", "--out", str(tmp_path / "a.csv")],
+        ["solve", "--config", sweep, "--seed", "5"],
+        ["sweep", "--config", sweep, "--out", str(tmp_path / "b.csv")],
+        ["certify", "--config", bad],
+    ]
+    in_one = []
+    for argv in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        in_one.append((code, out, err))
+    path = [str(Path(certify.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    for argv, expected in zip(calls, in_one):
+        done = subprocess.run(
+            [sys.executable, "-m", "wpirc.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (done.returncode, done.stdout, done.stderr) == expected
+    assert [code for code, _, _ in in_one] == [EXIT_OK, EXIT_OK, EXIT_OK, EXIT_CONFIG]
+    # two floors and two schemes per trial: the trials override holds for one call only
+    assert "wrote 4 rows" in in_one[0][1] and "wrote 12 rows" in in_one[2][1]

@@ -12,13 +12,12 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from wpirc import ChannelRealization, DualPair, comm_rate, inner_allocation, radar_mi
-from wpirc.model import LN2
 from wpirc.sim import sample_channel
 from wpirc.solver import (
     DEFAULT_OPTIONS,
     _gamma_profile,
     _kkt_residual,
-    _single_floor_filling,
+    links,
     subcarrier_gamma,
 )
 
@@ -40,10 +39,9 @@ def nested_brentq_multipliers(tau2, chan, params, max_iter=200):
     v, w = chan.radar_snr, chan.comm_snr
     r_r, r_c = params.mi_floor, params.rate_floor
     df = params.delta_f
-    _, level_a = _single_floor_filling(v)(2.0 * r_r / (df * tau2), tau2)
-    _, level_b = _single_floor_filling(w)(r_c / (df * tau2), tau2)
-    lam_r1 = level_a * 2.0 * LN2 / df
-    lam_c1 = level_b * LN2 / df
+    radar, comm = links(chan, df)
+    lam_r1 = radar.fill(r_r, tau2)[1]
+    lam_c1 = comm.fill(r_c, tau2)[1]
 
     def lambda_c_for(lr):
         def slack(lc):
@@ -114,15 +112,10 @@ def test_any_start_in_the_box_converges(scale):
     params, chan = shape_instance("frontier-n16", 14)
     tau2 = T_TOTAL * (1 - 1e-9)
     cold = inner_allocation(tau2, chan, params)
-    _, level_a = _single_floor_filling(chan.radar_snr)(
-        2.0 * params.mi_floor / (params.delta_f * tau2), tau2
-    )
-    _, level_b = _single_floor_filling(chan.comm_snr)(
-        params.rate_floor / (params.delta_f * tau2), tau2
-    )
+    radar, comm = links(chan, params.delta_f)
     start = DualPair(
-        scale[0] * level_a * 2.0 * LN2 / params.delta_f,
-        scale[1] * level_b * LN2 / params.delta_f,
+        scale[0] * radar.fill(params.mi_floor, tau2)[1],
+        scale[1] * comm.fill(params.rate_floor, tau2)[1],
     )
     warm = inner_allocation(tau2, chan, params, start=start)
     assert warm.duals.lambda_r == pytest.approx(cold.duals.lambda_r, rel=1e-9)

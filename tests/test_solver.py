@@ -19,8 +19,7 @@ from wpirc import (
 )
 from wpirc.solver import (
     InfeasibleSignalError,
-    _demand_slope,
-    _single_floor_filling,
+    Link,
     inner_dual_value,
     solve_with_allocation,
 )
@@ -33,8 +32,9 @@ DF = 2.5e5
 
 
 def _water_level(snr, target_logsum):
-    """The single-floor water level of ``snr`` at one target."""
-    return _single_floor_filling(snr)(target_logsum, 1.0)[1]
+    """The single-floor water level of ``snr`` at one target: the floor's
+    multiplier at ``scale = tau2 = 1``, where it is the level times ln 2."""
+    return Link(snr, 1.0).fill(target_logsum, 1.0)[1] / LN2
 
 
 def duals_from_levels(A, B, v, w, delta_f=DF):
@@ -337,7 +337,7 @@ class TestSolve:
         def allocator(t2):
             probes.append(t2)
             res = inner_allocation(t2, chan, params)
-            return res.gamma, _demand_slope(res, t2, chan, params)
+            return res.gamma, res.slope
 
         sol = solve_with_allocation(params, chan, allocator)
         assert sol.status is SolveStatus.OPTIMAL

@@ -5,7 +5,9 @@ reference: a golden-section descent to a point with a nonpositive margin,
 a brentq to the largest root, and a step back to its feasible side.
 ``brentq_common_gamma`` is the former equal-power level, a doubling bracket
 and a brentq on the rate.  Both evaluate the margin or the rate many more
-times than the Newton iterations that took their place.
+times than the Newton iterations that took their place.  ``envelope_slope``
+is the former demand slope, two log sums over the profile, which the
+inner allocation's homogeneity slope replaced.
 """
 import math
 import sys
@@ -13,6 +15,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from wpirc import (
@@ -26,10 +30,11 @@ from wpirc import (
     rank_one_extract,
     solve,
 )
-import wpirc.benchmark
-from wpirc.benchmark import _common_level, _equal_power_kernel
+import wpirc.solver
+from wpirc.benchmark import _equal_power_kernel
+from wpirc.model import LN2
 from wpirc.sim import sample_channel
-from wpirc.solver import DEFAULT_OPTIONS, _demand_slope, solve_with_allocation
+from wpirc.solver import DEFAULT_OPTIONS, Link, solve_with_allocation
 
 from conftest import T_TOTAL, make_params
 from test_multiplier_search import SHAPES, shape_instance
@@ -37,7 +42,7 @@ from test_multiplier_search import SHAPES, shape_instance
 
 def _common_gamma(snr, floor, tau2, delta_f, half, max_iter):
     """The equal-power level of one link at ``floor`` and ``tau2``, and its slope."""
-    return _common_level(snr, delta_f, half, max_iter)(floor, tau2)
+    return Link(snr, (0.5 if half else 1.0) * delta_f).level(floor, tau2, max_iter)
 
 
 def _equal_power_allocation(tau2, chan, params, options):
@@ -229,7 +234,7 @@ def op_allocator(params, chan, calls):
     def allocator(t2):
         calls.append(t2)
         res = inner_allocation(t2, chan, params)
-        return res.gamma, _demand_slope(res, t2, chan, params)
+        return res.gamma, res.slope
 
     return allocator
 
@@ -270,7 +275,67 @@ def test_demand_slope_matches_finite_difference(floors, active):
         fd = central_difference(
             lambda t: float(np.sum(inner_allocation(t, chan, params).gamma)), t2
         )
-        assert _demand_slope(res, t2, chan, params) == pytest.approx(fd, rel=1e-5)
+        assert res.slope == pytest.approx(fd, rel=1e-5)
+
+
+def envelope_slope(res, tau2, chan, params):
+    """Slope ``d sum(gamma) / d tau2`` of the inner allocation's optimum.
+
+    By the envelope theorem it is the ``tau2``-derivative of the Lagrangian
+    at the optimal profile and duals.  A floor term ``tau2 log1p(y)`` with
+    ``y = gamma snr / tau2`` has derivative ``log1p(y) - y / (1 + y)`` in
+    ``tau2``, so the slope is ``-lambda_r (delta_f / 2) sum[...]_v / ln 2 -
+    lambda_c delta_f sum[...]_w / ln 2``.  An unreachable floor (infinite
+    residual, infinite demand) has slope ``-inf``.
+    """
+    if math.isinf(res.stationarity_residual):
+        return -math.inf
+    x = res.gamma / tau2
+
+    def floor_slope(snr):
+        y = x * snr
+        return float(np.sum(np.log1p(y) - y / (1.0 + y))) / LN2
+
+    df = params.delta_f
+    return -(
+        res.duals.lambda_r * 0.5 * df * floor_slope(chan.radar_snr)
+        + res.duals.lambda_c * df * floor_slope(chan.comm_snr)
+    )
+
+
+# a subcarrier's SNR: 1e-6 to 1e6, or zero for an exponent below -6
+edge_snrs = st.floats(min_value=-7.0, max_value=6.0).map(lambda e: 0.0 if e < -6.0 else 10.0**e)
+# a floor: 1e-3 to 1e3 bits, or zero for an exponent below -3; this keeps
+# out the known limit of floors near 1e-9 bits on SNRs near 1e-4
+edge_floors = st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 0.0 if e < -3.0 else 10.0**e)
+
+
+@settings(
+    max_examples=300, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    data=st.data(),
+    n=st.sampled_from([1, 2, 3, 16, 64]),
+    mi_floor=edge_floors,
+    rate_floor=edge_floors,
+    tau2_exp=st.floats(min_value=-6.0, max_value=0.0),
+)
+def test_homogeneity_slope_matches_the_envelope_slope(data, n, mi_floor, rate_floor, tau2_exp):
+    v = np.array(data.draw(st.lists(edge_snrs, min_size=n, max_size=n)))
+    w = np.array(data.draw(st.lists(edge_snrs, min_size=n, max_size=n)))
+    # a positive floor over an all-zero SNR vector raises
+    assume((v.any() or mi_floor == 0.0) and (w.any() or rate_floor == 0.0))
+    params = make_params(n_subcarriers=n, mi_floor=mi_floor, rate_floor=rate_floor)
+    chan = ChannelRealization(h=[1.0, 1.0], radar_snr=v, comm_snr=w)
+    tau2 = T_TOTAL * 10.0**tau2_exp * (1 - 1e-9)
+    res = inner_allocation(tau2, chan, params)
+    ref = envelope_slope(res, tau2, chan, params)
+    if ref == -math.inf:
+        assert res.slope == -math.inf
+        return
+    # the outer search steps on the margin slope, the demand slope plus B
+    budget = params.efficiency * 2.0 * params.power_cap
+    assert abs(res.slope - ref) <= 1e-9 * (abs(ref) + budget)
 
 
 def test_equal_power_slope_on_both_sides_of_the_floor_tie():
@@ -358,7 +423,7 @@ class CountingNumpy:
 
 def test_tighter_level_start_never_takes_more_steps(rng, monkeypatch):
     counter = CountingNumpy()
-    monkeypatch.setattr(wpirc.benchmark, "np", counter)
+    monkeypatch.setattr(wpirc.solver, "np", counter)
     steps, u0_steps = [], []
     for _ in range(300):
         n = int(rng.integers(1, 40))
@@ -408,7 +473,7 @@ def test_unreachable_inner_floor_has_infinite_demand_and_slope():
     res = inner_allocation(t2, chan, params)
     assert res.stationarity_residual == math.inf
     assert float(np.sum(res.gamma)) == math.inf
-    assert _demand_slope(res, t2, chan, params) == -math.inf
+    assert res.slope == -math.inf
 
 
 def test_eq_frontier_with_far_probes():
