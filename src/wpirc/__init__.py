@@ -18,7 +18,6 @@ from .solver import (
     DualPair,
     InnerResult,
     SolverError,
-    SolverOptions,
     inner_allocation,
     mrt_covariance,
     solve,

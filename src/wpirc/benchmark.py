@@ -22,10 +22,10 @@ from .model import ChannelRealization, Solution, SystemParams
 from .model import comm_rate, radar_mi  # noqa: F401
 from .solver import solve  # noqa: F401
 from .solver import (
-    DEFAULT_OPTIONS,
+    MAX_ITER,
+    TIME_TOL,
     Link,
     SolverError,
-    SolverOptions,
     _ask,
     _outer_steps,
     _run_batch,
@@ -36,7 +36,7 @@ from .solver import (
 
 __all__ = ["eq_solve", "feasibility_frontier"]
 
-def _equal_power_kernel(chan: ChannelRealization, delta_f: float, max_iter: int) -> Callable:
+def _equal_power_kernel(chan: ChannelRealization, delta_f: float) -> Callable:
     """The equal-power profile kernel on one channel: for a list of
     ``(tau2, mi_floor, rate_floor)`` requests, one
     :meth:`wpirc.solver.Link.level` call per link, split into one ``(gamma,
@@ -51,8 +51,8 @@ def _equal_power_kernel(chan: ChannelRealization, delta_f: float, max_iter: int)
 
     def kernel(requests: list) -> list:
         tau2, mi_floor, rate_floor = np.array(requests).T
-        radar_levels = zip(*radar.level(mi_floor, tau2, max_iter))
-        levels = map(max, radar_levels, zip(*comm.level(rate_floor, tau2, max_iter)))
+        radar_levels = zip(*radar.level(mi_floor, tau2))
+        levels = map(max, radar_levels, zip(*comm.level(rate_floor, tau2)))
         return [(np.full(n, gamma), n * float(slope)) for gamma, slope in levels]
 
     return kernel
@@ -61,7 +61,6 @@ def _equal_power_kernel(chan: ChannelRealization, delta_f: float, max_iter: int)
 def eq_solve(
     params: SystemParams,
     chan: ChannelRealization,
-    options: SolverOptions = DEFAULT_OPTIONS,
 ) -> Solution:
     """Solve the restriction with equal energy on every subcarrier.
 
@@ -70,17 +69,15 @@ def eq_solve(
     with the Newton levels of :meth:`wpirc.solver.Link.level` as the
     allocator.
     """
-    kernel = _equal_power_kernel(chan, params.delta_f, options.max_bisect)
+    kernel = _equal_power_kernel(chan, params.delta_f)
 
     def allocator(tau2: float) -> tuple[np.ndarray, float]:
         return kernel([(tau2, params.mi_floor, params.rate_floor)])[0]
 
-    return solve_with_allocation(params, chan, allocator, options)
+    return solve_with_allocation(params, chan, allocator)
 
 
-def _eq_solve_batch(
-    rows: list[SystemParams], chan: ChannelRealization, options: SolverOptions = DEFAULT_OPTIONS
-) -> list:
+def _eq_solve_batch(rows: list[SystemParams], chan: ChannelRealization) -> list:
     """:func:`eq_solve` for rows that differ only in their floors, on one
     channel, in lockstep (:func:`wpirc.solver._run_batch`): one stacked
     kernel call per round serves every row's time-split probe.  Returns
@@ -89,14 +86,14 @@ def _eq_solve_batch(
 
     def search(params: SystemParams) -> Generator:
         return _outer_steps(
-            params, chan, lambda t2: _ask((t2, params.mi_floor, params.rate_floor)), options
+            params, chan, lambda t2: _ask((t2, params.mi_floor, params.rate_floor))
         )
 
-    kernel = _equal_power_kernel(chan, rows[0].delta_f, options.max_bisect)
+    kernel = _equal_power_kernel(chan, rows[0].delta_f)
     return _run_batch([search(p) for p in rows], kernel)
 
 
-def _concave_max(f: Callable, total_time: float, options: SolverOptions) -> float:
+def _concave_max(f: Callable, total_time: float) -> float:
     """Largest value of a concave function of ``tau2`` on (0, T), from below.
 
     ``f(t)`` returns the value and its slope.  A value of ``-inf`` marks a
@@ -107,17 +104,17 @@ def _concave_max(f: Callable, total_time: float, options: SolverOptions) -> floa
     slope when the same end moves twice (Illinois), and by bisection while
     an end's slope is unknown.  By concavity ``f(t*) <= f(t) + |f'(t)| (hi -
     lo)``, so the search stops when that bound falls to 1e-9 bits, or when
-    the bracket is narrower than ``time_tol * T``, and returns the best
+    the bracket is narrower than ``TIME_TOL * T``, and returns the best
     value it evaluated (``-inf`` if none was in the domain).  A bracket
-    that closes on an edge of the domain returns the value ``time_tol * T``
-    inside that edge instead.  ``max_bisect`` caps the evaluations.
+    that closes on an edge of the domain returns the value ``TIME_TOL * T``
+    inside that edge instead.  ``MAX_ITER`` caps the evaluations.
     """
-    xtol = options.time_tol * total_time
+    xtol = TIME_TOL * total_time
     lo, hi = 0.0, total_time
     d_lo, d_hi = math.inf, -math.inf  # end slopes; infinite where unknown
     moved = 0  # +1 if lo moved last, -1 if hi did
     best = -math.inf
-    for _ in range(options.max_bisect):
+    for _ in range(MAX_ITER):
         if hi - lo <= xtol:
             # a maximum on an edge of the domain (one end off it, the other
             # on it) is taken xtol inside: solve resolves the time split to
@@ -152,7 +149,6 @@ def feasibility_frontier(
     chan: ChannelRealization,
     target: str,
     scheme: str = "op",
-    options: SolverOptions = DEFAULT_OPTIONS,
 ) -> float:
     """Largest rate/MI floor (bits) that keeps the instance feasible.
 
@@ -182,8 +178,8 @@ def feasibility_frontier(
 
     The result is a lower bound within 1e-9 bits of the frontier (to the
     inner allocation's tolerance where the other floor binds), unless the
-    search ends on the ``time_tol * T`` bracket width: at a maximum on the
-    edge of the other floor's interval it is the value ``time_tol * T``
+    search ends on the ``TIME_TOL * T`` bracket width: at a maximum on the
+    edge of the other floor's interval it is the value ``TIME_TOL * T``
     inside, where ``solve`` and ``eq_solve`` still find a feasible split.
     """
     if target not in ("mi", "rate"):
@@ -208,7 +204,7 @@ def feasibility_frontier(
         g, grad, x = allocate(link, total)
         return link.scale * t2 * g, link.scale * (g - (total + budget) * grad), x
 
-    if other > 0.0 and _concave_max(lambda t2: reach(link_o, t2)[:2], total_time, options) < other:
+    if other > 0.0 and _concave_max(lambda t2: reach(link_o, t2)[:2], total_time) < other:
         return 0.0
 
     def value(t2: float) -> tuple[float, float]:
@@ -227,9 +223,9 @@ def feasibility_frontier(
         the target's multiplier vanishes, on the domain's edge: there the
         other floor alone takes the whole budget."""
         start = None
-        for _ in range(options.max_bisect):
+        for _ in range(MAX_ITER):
             trial = replace(params, **{f"{target}_floor": r})
-            res = inner_allocation(t2, chan, trial, options, start=start)
+            res = inner_allocation(t2, chan, trial, start=start)
             start = res.duals
             lam = start.lambda_r if mi_target else start.lambda_c
             if lam == 0.0:
@@ -240,4 +236,4 @@ def feasibility_frontier(
                 return r, -(budget + res.slope) / lam
         raise SolverError("frontier with both floors binding did not converge")
 
-    return float(max(_concave_max(value, total_time, options), 0.0))
+    return float(max(_concave_max(value, total_time), 0.0))

@@ -21,7 +21,7 @@ from .model import (
     SolveStatus,
     SystemParams,
 )
-from .solver import DEFAULT_OPTIONS, SolverError, _mrt_solution, links
+from .solver import SolverError, _mrt_solution, links
 
 __all__ = [
     "Certificate",
@@ -167,7 +167,7 @@ def equal_power_demand_bound(
     tau2 = np.linspace(total_time / tau2_steps, total_time, tau2_steps)
     floors = zip(links(chan, params.delta_f), (params.mi_floor, params.rate_floor))
     try:
-        levels = [link.level(floor, tau2, DEFAULT_OPTIONS.max_bisect)[0] for link, floor in floors]
+        levels = [link.level(floor, tau2)[0] for link, floor in floors]
     except SolverError:  # a floor no energy on an all-zero SNR vector can meet
         return math.inf
     hn2 = float(np.real(np.vdot(chan.h, chan.h)))

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 
 import numpy as np
@@ -47,10 +48,6 @@ DEFAULTS: dict = {
     "master_seed": 0,
     "schemes": ["op", "eq"],
     "out": "sweep.csv",
-    # solver tolerances
-    "max_bisect": 200,
-    "dual_tol": 1e-10,
-    "time_tol": 1e-9,
     # oracle cross-check
     "oracle_tau2_steps": 200,
     "oracle_gamma_steps": 200,
@@ -84,30 +81,32 @@ def load_config(path: str) -> dict:
     return cfg
 
 
+@contextmanager
+def _invalid(what: str):
+    """Report a conversion or constructor error on config values as a
+    ``ConfigError``; the commands build every typed value in one of these
+    before they solve anything."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"invalid {what}: {exc}") from exc
+
+
 def build_params(cfg: dict) -> SystemParams:
     names = [f.name for f in fields(SystemParams)]
-    try:
+    with _invalid("system parameters"):
         return SystemParams(**{n: cfg[n] for n in names})
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"invalid system parameters: {exc}") from exc
-
-
-def build_options(cfg: dict) -> solver.SolverOptions:
-    return solver.SolverOptions(
-        max_bisect=int(cfg["max_bisect"]),
-        dual_tol=float(cfg["dual_tol"]),
-        time_tol=float(cfg["time_tol"]),
-    )
 
 
 def _channel(cfg: dict, params: SystemParams):
-    return sim.sample_channel(
-        int(cfg["seed"]),
-        params,
-        float(cfg["radar_snr_db"]),
-        float(cfg["comm_snr_db"]),
-        cfg["normalization"],
-    )
+    with _invalid("channel"):
+        return sim.sample_channel(
+            int(cfg["seed"]),
+            params,
+            float(cfg["radar_snr_db"]),
+            float(cfg["comm_snr_db"]),
+            cfg["normalization"],
+        )
 
 
 def _print_solution(params, chan, sol) -> None:
@@ -125,24 +124,25 @@ def _print_solution(params, chan, sol) -> None:
 def _cmd_solve(cfg: dict) -> int:
     params = build_params(cfg)
     chan = _channel(cfg, params)
-    sol = solver.solve(params, chan, build_options(cfg))
+    sol = solver.solve(params, chan)
     _print_solution(params, chan, sol)
     return EXIT_INFEASIBLE if sol.status is SolveStatus.INFEASIBLE else EXIT_OK
 
 
 def _cmd_sweep(cfg: dict) -> int:
     params = build_params(cfg)
-    config = sim.SweepConfig(
-        base=params,
-        radar_snr_db=float(cfg["radar_snr_db"]),
-        comm_snr_db=float(cfg["comm_snr_db"]),
-        sweep_variable=cfg["sweep_variable"],
-        sweep_values=tuple(float(v) for v in cfg["sweep_values"]),
-        trials=int(cfg["trials"]),
-        master_seed=int(cfg["master_seed"]),
-        schemes=tuple(cfg["schemes"]),
-        normalization=cfg["normalization"],
-    )
+    with _invalid("sweep"):
+        config = sim.SweepConfig(
+            base=params,
+            radar_snr_db=float(cfg["radar_snr_db"]),
+            comm_snr_db=float(cfg["comm_snr_db"]),
+            sweep_variable=cfg["sweep_variable"],
+            sweep_values=tuple(float(v) for v in cfg["sweep_values"]),
+            trials=int(cfg["trials"]),
+            master_seed=int(cfg["master_seed"]),
+            schemes=tuple(cfg["schemes"]),
+            normalization=cfg["normalization"],
+        )
     rows = sim.run_sweep(config)
     sim.write_csv(rows, cfg["out"])
     n_ok = sum(r.status == SolveStatus.OPTIMAL.value for r in rows)
@@ -153,7 +153,7 @@ def _cmd_sweep(cfg: dict) -> int:
 def _cmd_certify(cfg: dict) -> int:
     params = build_params(cfg)
     chan = _channel(cfg, params)
-    sol = solver.solve(params, chan, build_options(cfg))
+    sol = solver.solve(params, chan)
     _print_solution(params, chan, sol)
     if sol.status is SolveStatus.INFEASIBLE:
         return EXIT_INFEASIBLE
@@ -174,16 +174,16 @@ def _cmd_oracle_check(cfg: dict) -> int:
     if params.n_subcarriers > 3:
         raise ConfigError("oracle-check requires n_subcarriers <= 3")
     gamma_max = cfg["oracle_gamma_max"]
-    try:
+    with _invalid("oracle grid"):
         grid = certify.OracleGrid(
             tau2_steps=int(cfg["oracle_tau2_steps"]),
             gamma_steps=int(cfg["oracle_gamma_steps"]),
             gamma_max=0.0 if gamma_max is None else float(gamma_max),
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid oracle grid: {exc}") from exc
+    with _invalid("oracle_rel_tol"):
+        rel_tol = float(cfg["oracle_rel_tol"])
     chan = _channel(cfg, params)
-    sol = solver.solve(params, chan, build_options(cfg))
+    sol = solver.solve(params, chan)
     if gamma_max is None:
         gamma_max = certify.equal_power_demand_bound(params, chan, tau2_steps=grid.tau2_steps)
         if not np.isfinite(gamma_max):
@@ -199,8 +199,8 @@ def _cmd_oracle_check(cfg: dict) -> int:
     if sol.status is not SolveStatus.OPTIMAL:
         return EXIT_OK
     rel = abs(sol.energy - ref.energy) / max(ref.energy, 1e-300)
-    print(f"relative gap: {rel:.4%} (tolerance {float(cfg['oracle_rel_tol']):.2%})")
-    return EXIT_OK if rel <= float(cfg["oracle_rel_tol"]) else EXIT_ERROR
+    print(f"relative gap: {rel:.4%} (tolerance {rel_tol:.2%})")
+    return EXIT_OK if rel <= rel_tol else EXIT_ERROR
 
 
 @functools.cache

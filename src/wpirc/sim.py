@@ -49,6 +49,8 @@ class SweepConfig:
         object.__setattr__(self, "sweep_values", values)
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
         schemes = tuple(self.schemes)
         if not schemes or any(s not in ("op", "eq") for s in schemes):
             raise ValueError("schemes must be a nonempty subset of {'op', 'eq'}")
@@ -86,7 +88,10 @@ def sample_channel(
     With ``empirical`` normalization the per-realization mean of each SNR
     vector equals the nominal linear SNR exactly; ``ensemble`` scales the
     raw unit-variance gains instead, so only the ensemble average matches.
+    Any other ``normalization`` raises ``ValueError``.
     """
+    if normalization not in ("empirical", "ensemble"):
+        raise ValueError("normalization must be 'empirical' or 'ensemble'")
     rng = np.random.default_rng(seed)
     nt, nc = params.n_antennas, params.n_subcarriers
     h = np.sqrt(H_VARIANCE / 2.0) * (rng.standard_normal(nt) + 1j * rng.standard_normal(nt))

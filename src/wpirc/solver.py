@@ -32,7 +32,6 @@ from .model import (
 __all__ = [
     "DualPair",
     "InnerResult",
-    "SolverOptions",
     "SolverError",
     "InfeasibleSignalError",
     "subcarrier_gamma",
@@ -73,14 +72,9 @@ class InnerResult:
     slope: float  # d sum(gamma) / d tau2
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    max_bisect: int = 200
-    dual_tol: float = 1e-10  # absolute, on normalized constraint residuals
-    time_tol: float = 1e-9  # relative to total_time
-
-
-DEFAULT_OPTIONS = SolverOptions()
+MAX_ITER = 200  # iteration cap of every search
+DUAL_TOL = 1e-10  # absolute, on normalized constraint residuals
+TIME_TOL = 1e-9  # relative to total_time
 
 
 def _gamma_profile(lambda_r, lambda_c, v, w, tau2, delta_f) -> np.ndarray:
@@ -208,7 +202,7 @@ class Link:
         level = 2.0**exponent
         return np.maximum(level - inv, 0.0), level * LN2 / self.scale
 
-    def level(self, floor, tau2, max_iter: int) -> tuple:
+    def level(self, floor, tau2) -> tuple:
         """Smallest common per-subcarrier energy meeting ``floor``, and its
         slope in ``tau2``.
 
@@ -223,7 +217,7 @@ class Link:
         and every iterate meets the floor.  As ``F'' <= F'``, a step of size
         ``d`` leaves an error under ``d^2 / 2``, so the iteration ends after
         a step under 1e-8, the rounding-level step up from a gap just below
-        zero included; ``max_iter`` caps the steps.  A start at which ``e^u``
+        zero included; ``MAX_ITER`` caps the steps.  A start at which ``e^u``
         or ``e^u s`` overflows means that no finite energy meets the floor:
         the level is then ``inf``.  A target below ``S`` times the smallest
         normal float, a zero floor's included, has a level below the float
@@ -253,7 +247,7 @@ class Link:
         finite = u < u_max
         u = np.where(finite, u, 0.0)  # kept harmless while the finite levels iterate
         live = finite
-        for _ in range(max_iter):
+        for _ in range(MAX_ITER):
             xs = np.exp(u)[:, None] * s
             grad = np.add.reduce(xs / (1.0 + xs), 1)
             if not np.count_nonzero(live):
@@ -302,7 +296,6 @@ def inner_allocation(
     tau2: float,
     chan: ChannelRealization,
     params: SystemParams,
-    options: SolverOptions = DEFAULT_OPTIONS,
     start: Optional[DualPair] = None,
 ) -> InnerResult:
     """Minimize total transmit-phase energy subject to both rate floors.
@@ -315,7 +308,7 @@ def inner_allocation(
     :func:`_both_floor_multipliers` run, starting from ``start`` (for
     example the duals of a nearby ``tau2``) when it is given.
     """
-    steps = _inner_steps(tau2, links(chan, params.delta_f), params, options, start)
+    steps = _inner_steps(tau2, links(chan, params.delta_f), params, start)
     return _run(steps, _jacobian_kernel(chan, params.delta_f))
 
 
@@ -323,7 +316,6 @@ def _inner_steps(
     tau2: float,
     pair: tuple[Link, Link],
     params: SystemParams,
-    options: SolverOptions,
     start: Optional[DualPair],
 ) -> Generator[tuple, tuple, InnerResult]:
     """:func:`inner_allocation` as a search that yields its profile
@@ -337,8 +329,8 @@ def _inner_steps(
     if r_r == 0.0 and r_c == 0.0:
         return _inner_result(np.zeros_like(radar.snr), 0.0, 0.0, 0.0, 0.0, tau2, params, "none")
 
-    tol_r = options.dual_tol * max(1.0, r_r)
-    tol_c = options.dual_tol * max(1.0, r_c)
+    tol_r = DUAL_TOL * max(1.0, r_r)
+    tol_c = DUAL_TOL * max(1.0, r_c)
 
     # an infinite multiplier means no finite profile meets that floor: its
     # result is returned with infinite bits on both links
@@ -357,10 +349,10 @@ def _inner_steps(
             return _inner_result(tau2 * x, 0.0, lam_c1, mi, rate, tau2, params, "rate")
 
     lam_r, lam_c, gamma, mi, rate = yield from _both_floor_multipliers(
-        tau2, r_r, r_c, lam_r1, lam_c1, start, options
+        tau2, r_r, r_c, lam_r1, lam_c1, start
     )
     result = _inner_result(gamma, lam_r, lam_c, mi, rate, tau2, params, "both")
-    if (res := result.stationarity_residual) > 1e3 * options.dual_tol:
+    if (res := result.stationarity_residual) > 1e3 * DUAL_TOL:
         raise SolverError(f"inner allocation did not converge (residual {res:.3e})")
     return result
 
@@ -456,7 +448,6 @@ def _both_floor_multipliers(
     lam_r1: float,
     lam_c1: float,
     start: Optional[DualPair],
-    options: SolverOptions,
 ) -> Generator[tuple, tuple, tuple]:
     """Multipliers at which both floors hold with equality, with the
     profile, MI and rate there.
@@ -478,8 +469,8 @@ def _both_floor_multipliers(
     Otherwise ``lambda_c`` alone steps towards ``c(lambda_r)`` within its
     bracket, which reaches a bracketing point.  The search stops when both
     Newton corrections are below 1e-13 relative, or one step after each
-    floor is met to ``dual_tol * max(1, floor)`` or has its multiplier
-    settled to that precision.  ``max_bisect`` caps the iterations, one
+    floor is met to ``DUAL_TOL * max(1, floor)`` or has its multiplier
+    settled to that precision.  ``MAX_ITER`` caps the iterations, one
     profile evaluation each, yielded as a ``(lambda_r, lambda_c, tau2)``
     request to :func:`_jacobian_kernel`.
     """
@@ -493,11 +484,11 @@ def _both_floor_multipliers(
             lam_r = start.lambda_r
         if 0.0 < start.lambda_c < lam_c1:
             lam_c = start.lambda_c
-    tol_r = options.dual_tol * max(1.0, r_r)  # as in _kkt_residual
-    tol_c = options.dual_tol * max(1.0, r_c)
+    tol_r = DUAL_TOL * max(1.0, r_r)  # as in _kkt_residual
+    tol_c = DUAL_TOL * max(1.0, r_c)
     newton_res = math.inf  # residual where the last 2-D step started
     polished = False
-    for _ in range(options.max_bisect):
+    for _ in range(MAX_ITER):
         gamma, mi, rate, j_rr, j_rc, j_cc = yield lam_r, lam_c, tau2
         e_r, e_c = mi - r_r, rate - r_c
         det = j_rr * j_cc - j_rc * j_rc
@@ -613,7 +604,6 @@ def mrt_covariance(
 def _largest_phi_root(
     phi: Callable[[float], Generator],
     total_time: float,
-    options: SolverOptions,
 ) -> Generator[object, object, Optional[float]]:
     """Largest root of the convex feasibility margin on (0, T).
 
@@ -621,7 +611,7 @@ def _largest_phi_root(
     steps start at ``T``, where the margin is positive.  Every tangent of a
     convex function lies below it, so each tangent root sits at or right of
     the largest root and the margin stays positive on the iterates until a
-    step crosses it.  A step shorter than ``time_tol * T`` is lengthened to
+    step crosses it.  A step shorter than ``TIME_TOL * T`` is lengthened to
     that, which crosses a simple root, and the first iterate with a
     nonpositive margin is returned.
 
@@ -629,14 +619,14 @@ def _largest_phi_root(
     is a certificate, since the tangent at an iterate bounds the margin
     from below left of it: the margin is not finite there, or its slope is
     not positive, or the tangent root is not positive.  A near-tangent
-    instance whose steps stall below ``time_tol * T`` with a positive margin
-    ends on one of these (or on the ``max_bisect`` cap) and counts as
-    infeasible: no feasible interval wider than ``time_tol * T`` was passed.
+    instance whose steps stall below ``TIME_TOL * T`` with a positive margin
+    ends on one of these (or on the ``MAX_ITER`` cap) and counts as
+    infeasible: no feasible interval wider than ``TIME_TOL * T`` was passed.
     """
-    xtol = options.time_tol * total_time
+    xtol = TIME_TOL * total_time
     t = total_time
     value, slope = yield from phi(t)
-    for _ in range(options.max_bisect):
+    for _ in range(MAX_ITER):
         if not (math.isfinite(value) and slope > 0.0):
             return None
         step = max(value / slope, xtol)
@@ -653,7 +643,6 @@ def solve_with_allocation(
     params: SystemParams,
     chan: ChannelRealization,
     allocator: Callable[[float], tuple[np.ndarray, float]],
-    options: SolverOptions = DEFAULT_OPTIONS,
 ) -> Solution:
     """Outer time-split search shared by the optimal and benchmark schemes.
 
@@ -670,7 +659,7 @@ def solve_with_allocation(
     The search is :func:`_outer_steps`, whose every request is a ``tau2``
     that ``allocator`` answers.
     """
-    return _run(_outer_steps(params, chan, _ask, options), lambda ts: [allocator(t) for t in ts])
+    return _run(_outer_steps(params, chan, _ask), lambda ts: [allocator(t) for t in ts])
 
 
 def _ask(request):
@@ -682,7 +671,6 @@ def _outer_steps(
     params: SystemParams,
     chan: ChannelRealization,
     allocation: Callable[[float], Generator],
-    options: SolverOptions,
 ) -> Generator[object, object, Solution]:
     """:func:`solve_with_allocation` as a search: ``allocation(tau2)`` is
     the search for ``(gamma, slope)`` at ``tau2``, and its requests pass
@@ -706,7 +694,7 @@ def _outer_steps(
         probe = gamma, float(np.sum(gamma))
         return probe[1] - budget_rate * (total_time - t2), slope + budget_rate
 
-    tau2 = yield from _largest_phi_root(phi, total_time, options)
+    tau2 = yield from _largest_phi_root(phi, total_time)
     if tau2 is None:
         return Solution.empty(SolveStatus.INFEASIBLE, params)
 
@@ -791,7 +779,6 @@ def _answers(asked: list, kernel: Callable[[list], list]) -> list:
 def solve(
     params: SystemParams,
     chan: ChannelRealization,
-    options: SolverOptions = DEFAULT_OPTIONS,
 ) -> Solution:
     """Jointly optimal time split, subcarrier energies and beamformer.
 
@@ -803,16 +790,14 @@ def solve(
 
     def allocator(t2: float) -> tuple[np.ndarray, float]:
         nonlocal last
-        res = inner_allocation(t2, chan, params, options, start=last)
+        res = inner_allocation(t2, chan, params, start=last)
         last = res.duals
         return res.gamma, res.slope
 
-    return solve_with_allocation(params, chan, allocator, options)
+    return solve_with_allocation(params, chan, allocator)
 
 
-def _solve_batch(
-    rows: list[SystemParams], chan: ChannelRealization, options: SolverOptions = DEFAULT_OPTIONS
-) -> list:
+def _solve_batch(rows: list[SystemParams], chan: ChannelRealization) -> list:
     """:func:`solve` for rows that differ only in their floors, on one
     channel, in lockstep (:func:`_run_batch`): each row runs the same
     searches as alone, and one stacked kernel call per round serves every
@@ -826,11 +811,11 @@ def _solve_batch(
 
         def allocation(t2: float) -> Generator:
             nonlocal last
-            res = yield from _inner_steps(t2, pair, params, options, last)
+            res = yield from _inner_steps(t2, pair, params, last)
             last = res.duals
             return res.gamma, res.slope
 
-        return _outer_steps(params, chan, allocation, options)
+        return _outer_steps(params, chan, allocation)
 
     return _run_batch([search(p) for p in rows], _jacobian_kernel(chan, rows[0].delta_f))
 

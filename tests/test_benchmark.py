@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from dataclasses import replace
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import wpirc.benchmark
 from wpirc import (
@@ -16,13 +16,13 @@ from wpirc import (
     kkt_certificate,
     solve,
 )
-from wpirc.solver import DEFAULT_OPTIONS
+from wpirc.solver import MAX_ITER
 from wpirc.sim import sample_channel
 
 from conftest import make_params
 
 
-def bisection_frontier(params, chan, target, scheme="op", tol_bits=0.1, options=DEFAULT_OPTIONS):
+def bisection_frontier(params, chan, target, scheme="op", tol_bits=0.1):
     """Reference frontier: doubling then bisection of the floor on the
     solver's status, a lower bound within ``tol_bits``."""
     solve_fn = solve if scheme == "op" else eq_solve
@@ -30,12 +30,12 @@ def bisection_frontier(params, chan, target, scheme="op", tol_bits=0.1, options=
 
     def feasible(r):
         trial = replace(params, **{floor_field: r})
-        return solve_fn(trial, chan, options).status is not SolveStatus.INFEASIBLE
+        return solve_fn(trial, chan).status is not SolveStatus.INFEASIBLE
 
     if not feasible(0.0):
         return 0.0
     lo, hi = 0.0, 1.0
-    for _ in range(options.max_bisect):
+    for _ in range(MAX_ITER):
         if not feasible(hi):
             break
         lo, hi = hi, hi * 2.0
@@ -121,6 +121,52 @@ class TestEqSolve:
         assert check_constraints(params, chan, sol, tol=1e-6).all_satisfied
         assert np.allclose(sol.gamma, sol.gamma[0])
         assert kkt_certificate(params, chan, sol).valid
+
+
+def snr_vector(data, nc):
+    """``nc`` SNRs from 1e-6 to 1e6, a drawn share of them (all but one at
+    most) set to zero at drawn positions."""
+    snr = 10.0 ** np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=nc, max_size=nc)))
+    zeros = round(data.draw(st.floats(0.0, 1.0)) * (nc - 1))
+    snr[data.draw(st.permutations(range(nc)))[:zeros]] = 0.0
+    return snr
+
+
+floor_bits = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    data=st.data(),
+    nc=st.sampled_from([16, 64]),
+    mi_floor=floor_bits,
+    rate_floor=floor_bits,
+    seed=st.integers(0, 2**16),
+)
+def test_solve_dominates_eq_on_zero_snr_subcarriers_and_short_harvests(
+    data, nc, mi_floor, rate_floor, seed
+):
+    """Wherever the equal-power scheme is optimal the optimal scheme is too,
+    and no more costly; every optimal solve meets the constraints and
+    certifies.
+
+    Zero SNRs put subcarriers with one gain or both at zero in the profile,
+    and floors down to 1e-3 bits on SNRs up to 1e6 put the time split near
+    ``tau2 = T``.  Positive floors stay at or above 1e-3 bits, away from the
+    known limit of the multiplier search (floors near 1e-9 bits on SNRs
+    near 1e-4)."""
+    assume(mi_floor > 0.0 or rate_floor > 0.0)
+    params = make_params(n_subcarriers=nc, n_antennas=3, mi_floor=mi_floor, rate_floor=rate_floor)
+    h = np.random.default_rng(seed).standard_normal((3, 2)) @ np.array([1.0, 1j])
+    chan = ChannelRealization(h=h, radar_snr=snr_vector(data, nc), comm_snr=snr_vector(data, nc))
+    op = solve(params, chan)
+    eq = eq_solve(params, chan)
+    if eq.status is SolveStatus.OPTIMAL:
+        assert op.status is SolveStatus.OPTIMAL
+        assert op.energy <= eq.energy * (1 + 1e-6)
+    if op.status is SolveStatus.OPTIMAL:
+        assert check_constraints(params, chan, op, tol=1e-6).all_satisfied
+        assert kkt_certificate(params, chan, op).valid
 
 
 class TestFeasibilityFrontier:
@@ -244,7 +290,7 @@ class TestFeasibilityFrontier:
     ):
         # the eq frontier peaks where the other floor stops holding; there
         # the floor 1e-6 bits below it holds on a time-split interval
-        # narrower than time_tol * T unless the search steps back inside
+        # narrower than TIME_TOL * T unless the search steps back inside
         other = "mi_floor" if target == "rate" else "rate_floor"
         params = make_params(n_subcarriers=64, n_antennas=3, **{other: other_floor})
         chan = sample_channel(seed, params, *snr_db)
@@ -255,14 +301,14 @@ class TestFeasibilityFrontier:
         counts = []
         search = wpirc.benchmark._concave_max
 
-        def counted(f, total_time, options):
+        def counted(f, total_time):
             counts.append(0)
 
             def g(t):
                 counts[-1] += 1
                 return f(t)
 
-            return search(g, total_time, options)
+            return search(g, total_time)
 
         monkeypatch.setattr(wpirc.benchmark, "_concave_max", counted)
         for target in ("mi", "rate"):

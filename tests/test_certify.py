@@ -319,9 +319,9 @@ class TestEqualPowerDemandBound:
         link_level = Link.level
         sizes = []
 
-        def counted(link, floor, tau2, max_iter):
+        def counted(link, floor, tau2):
             sizes.append(np.size(tau2))
-            return link_level(link, floor, tau2, max_iter)
+            return link_level(link, floor, tau2)
 
         monkeypatch.setattr(Link, "level", counted)
         params, chan = next(criterion_1_instances())
@@ -600,7 +600,7 @@ def test_solver_beats_the_oracle(data, nc, mi_floor, rate_floor, seed):
 
     The oracle's points are feasible points of the problem, so the optimum
     costs no more than its best one; the solver's ``tau2`` may lie up to
-    ``time_tol * T`` below the optimal split, hence the 1e-6 slack.  SNRs
+    ``TIME_TOL * T`` below the optimal split, hence the 1e-6 slack.  SNRs
     stay in 1e-2..1e3, away from the known limit of the multiplier search
     (floors near 1e-9 bits met on subcarriers with SNRs near 1e-4).
     """

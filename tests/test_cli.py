@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from wpirc import certify
+from wpirc import certify, sim, solver
 from wpirc.cli import DEFAULTS, EXIT_CONFIG, EXIT_ERROR, EXIT_INFEASIBLE, EXIT_OK, load_config, main
 
 SMALL_SCENARIO = {
@@ -53,9 +53,40 @@ class TestConfigHandling:
         assert main(["solve", "--config", path]) == EXIT_CONFIG
 
     def test_removed_constraint_tol_is_an_unknown_key(self, tmp_path, capsys):
-        path = write_config(tmp_path, {"constraint_tol": 1e-8})
-        assert main(["solve", "--config", path]) == EXIT_CONFIG
-        assert "unknown config keys: constraint_tol" in capsys.readouterr().err
+        # so are the solver tolerances, constants since they left the config
+        for key, value in [("constraint_tol", 1e-8), ("max_bisect", 200), ("dual_tol", 1e-10),
+                           ("time_tol", 1e-9)]:
+            path = write_config(tmp_path, {key: value})
+            assert main(["solve", "--config", path]) == EXIT_CONFIG
+            assert f"unknown config keys: {key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "certify", "oracle-check", "sweep"])
+    def test_misspelled_normalization_is_a_config_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, {"normalization": "emprical"})
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        assert "normalization must be 'empirical' or 'ensemble'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, bad",
+        [
+            ("sweep", {"sweep_variable": "foo"}),
+            ("sweep", {"trials": "many"}),
+            ("sweep", {"master_seed": -1}),
+            ("oracle-check", {"oracle_rel_tol": "lots"}),
+        ],
+    )
+    def test_malformed_value_is_a_config_error_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, command, bad
+    ):
+        def no_solve(*args):
+            raise AssertionError("solved before the config was checked")
+
+        monkeypatch.setattr(solver, "solve", no_solve)
+        monkeypatch.setattr(sim, "run_sweep", no_solve)
+        path = write_config(tmp_path, {**bad, "out": str(tmp_path / "sweep.csv")})
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
 
     def test_malformed_yaml_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"

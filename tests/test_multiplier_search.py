@@ -14,7 +14,7 @@ from scipy.optimize import brentq
 from wpirc import ChannelRealization, DualPair, comm_rate, inner_allocation, radar_mi
 from wpirc.sim import sample_channel
 from wpirc.solver import (
-    DEFAULT_OPTIONS,
+    DUAL_TOL,
     _gamma_profile,
     _kkt_residual,
     links,
@@ -71,7 +71,7 @@ def assert_matches_oracle(res, tau2, chan, params):
     assert res.duals.lambda_r == pytest.approx(duals.lambda_r, rel=1e-9)
     assert res.duals.lambda_c == pytest.approx(duals.lambda_c, rel=1e-9)
     assert np.max(np.abs(res.gamma - gamma)) <= 1e-9 * np.max(gamma)
-    assert res.stationarity_residual <= 1e3 * DEFAULT_OPTIONS.dual_tol
+    assert res.stationarity_residual <= 1e3 * DUAL_TOL
 
 
 def shape_instance(shape, seed):
@@ -153,7 +153,7 @@ def test_kkt_holds_over_extreme_snrs(data, n, small_floor, other_floor, small_is
     # the KKT conditions certify optimality of this convex program: primal
     # feasibility with complementary slackness (the residual), nonnegative
     # duals, and a profile that minimizes the Lagrangian at those duals
-    assert res.stationarity_residual <= 1e3 * DEFAULT_OPTIONS.dual_tol
+    assert res.stationarity_residual <= 1e3 * DUAL_TOL
     assert res.duals.lambda_r >= 0.0 and res.duals.lambda_c >= 0.0
     regen = np.array(
         [subcarrier_gamma(res.duals, v[m], w[m], tau2, params.delta_f) for m in range(n)]
@@ -166,4 +166,4 @@ def test_kkt_holds_over_extreme_snrs(data, n, small_floor, other_floor, small_is
         mi_floor,
         rate_floor,
     )
-    assert res_regen <= 1e3 * DEFAULT_OPTIONS.dual_tol
+    assert res_regen <= 1e3 * DUAL_TOL

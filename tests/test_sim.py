@@ -39,6 +39,11 @@ class TestSampleChannel:
         ]
         assert np.mean(means) == pytest.approx(1.0, abs=0.02)
 
+    @pytest.mark.parametrize("normalization", ["emprical", "Empirical", ""])
+    def test_unknown_normalization_rejected(self, normalization):
+        with pytest.raises(ValueError, match="normalization must be"):
+            sample_channel(0, make_params(), 10.0, 10.0, normalization)
+
     def test_h_variance_law_of_large_numbers(self):
         # ~1e5 gain samples across many draws; per-entry variance is 0.2
         params = make_params(n_subcarriers=1, n_antennas=50)

@@ -34,62 +34,62 @@ import wpirc.solver
 from wpirc.benchmark import _equal_power_kernel
 from wpirc.model import LN2
 from wpirc.sim import sample_channel
-from wpirc.solver import DEFAULT_OPTIONS, Link, solve_with_allocation
+from wpirc.solver import MAX_ITER, TIME_TOL, Link, solve_with_allocation
 
 from conftest import T_TOTAL, make_params
 from test_multiplier_search import SHAPES, shape_instance
 
 
-def _common_gamma(snr, floor, tau2, delta_f, half, max_iter):
+def _common_gamma(snr, floor, tau2, delta_f, half):
     """The equal-power level of one link at ``floor`` and ``tau2``, and its slope."""
-    return Link(snr, (0.5 if half else 1.0) * delta_f).level(floor, tau2, max_iter)
+    return Link(snr, (0.5 if half else 1.0) * delta_f).level(floor, tau2)
 
 
-def _equal_power_allocation(tau2, chan, params, options):
+def _equal_power_allocation(tau2, chan, params):
     """Equal-power profile at ``tau2`` and the slope of its total."""
-    kernel = _equal_power_kernel(chan, params.delta_f, options.max_bisect)
+    kernel = _equal_power_kernel(chan, params.delta_f)
     return kernel([(tau2, params.mi_floor, params.rate_floor)])[0]
 
 
-XTOL = DEFAULT_OPTIONS.time_tol * T_TOTAL
+XTOL = TIME_TOL * T_TOTAL
 ENERGY_RTOL = 1e-6
 
 
-def golden_brentq_root(phi, total_time, options=DEFAULT_OPTIONS):
+def golden_brentq_root(phi, total_time):
     """Largest root of the convex margin ``phi`` on (0, T), or None.
 
     Returns the root with how far the step back moved it below brentq's
-    answer, a multiple of ``time_tol * T``.
+    answer, a multiple of ``TIME_TOL * T``.
     """
     t_hi = total_time * (1.0 - 1e-9)
     if phi(t_hi) <= 0.0:
         lo, up = t_hi, total_time
     else:
-        lo = golden_nonpositive(phi, total_time * 1e-12, t_hi, options)
+        lo = golden_nonpositive(phi, total_time * 1e-12, t_hi)
         if lo is None:
             return None
         up = t_hi
-    xtol = options.time_tol * total_time
-    root = brentq(phi, lo, up, xtol=xtol, rtol=1e-15, maxiter=options.max_bisect)
-    for steps in range(options.max_bisect):
+    xtol = TIME_TOL * total_time
+    root = brentq(phi, lo, up, xtol=xtol, rtol=1e-15, maxiter=MAX_ITER)
+    for steps in range(MAX_ITER):
         if phi(root) <= 0.0:
             return root, steps * xtol
         root -= xtol
     raise AssertionError("failed to land on the feasible side of the time split")
 
 
-def golden_nonpositive(phi, a, b, options):
+def golden_nonpositive(phi, a, b):
     """Golden-section search for any point with phi <= 0 on [a, b]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = phi(c), phi(d)
-    for _ in range(options.max_bisect):
+    for _ in range(MAX_ITER):
         if fc <= 0.0:
             return c
         if fd <= 0.0:
             return d
-        if b - a <= options.time_tol * max(b, 1e-300):
+        if b - a <= TIME_TOL * max(b, 1e-300):
             return None
         if fc < fd:
             b, d, fd = d, c, fc
@@ -149,7 +149,7 @@ def assert_matches_reference(params, chan, scheme):
     sol = (solve if scheme == "op" else eq_solve)(params, chan)
     status, tau2, energy, back = reference_solve(params, chan, scheme)
     assert sol.status is status
-    # each lies within time_tol * T below the root (up to rounding), once
+    # each lies within TIME_TOL * T below the root (up to rounding), once
     # the reference's step back to the feasible side is undone
     assert abs(sol.tau2 - tau2) <= 1.001 * XTOL + back
     assert sol.energy == pytest.approx(energy, rel=ENERGY_RTOL)
@@ -242,7 +242,7 @@ def op_allocator(params, chan, calls):
 def eq_allocator(params, chan, calls):
     def allocator(t2):
         calls.append(t2)
-        return _equal_power_allocation(t2, chan, params, DEFAULT_OPTIONS)
+        return _equal_power_allocation(t2, chan, params)
 
     return allocator
 
@@ -344,25 +344,25 @@ def test_equal_power_slope_on_both_sides_of_the_floor_tie():
     def levels(t2):
         df = params.delta_f
         return (
-            _common_gamma(chan.radar_snr, params.mi_floor, t2, df, True, 200),
-            _common_gamma(chan.comm_snr, params.rate_floor, t2, df, False, 200),
+            _common_gamma(chan.radar_snr, params.mi_floor, t2, df, True),
+            _common_gamma(chan.comm_snr, params.rate_floor, t2, df, False),
         )
 
     tie = brentq(lambda t2: math.log(levels(t2)[0][0] / levels(t2)[1][0]), 1e-6, 1e-5)
     slopes = []
     for t2 in (0.95 * tie, 1.05 * tie):
         (g_r, _), (g_c, _) = levels(t2)
-        gamma, slope = _equal_power_allocation(t2, chan, params, DEFAULT_OPTIONS)
+        gamma, slope = _equal_power_allocation(t2, chan, params)
         assert gamma[0] == max(g_r, g_c)
         fd = central_difference(
-            lambda t: float(np.sum(_equal_power_allocation(t, chan, params, DEFAULT_OPTIONS)[0])),
+            lambda t: float(np.sum(_equal_power_allocation(t, chan, params)[0])),
             t2,
         )
         assert slope == pytest.approx(fd, rel=1e-5)
         slopes.append((g_r > g_c, slope))
     assert slopes[0][0] != slopes[1][0]  # the binding floor changes at the tie
     # at the tie the slope is a subgradient: between the one-sided slopes
-    _, at_tie = _equal_power_allocation(tie, chan, params, DEFAULT_OPTIONS)
+    _, at_tie = _equal_power_allocation(tie, chan, params)
     one_sided = [params.n_subcarriers * lv[1] for lv in levels(tie)]
     assert min(one_sided) <= at_tie <= max(one_sided)
 
@@ -377,7 +377,7 @@ def test_common_level_matches_brentq(rng):
         floor = 10.0 ** rng.uniform(-2, 3)
         tau2 = T_TOTAL * 10.0 ** rng.uniform(-4, 0)
         half = bool(rng.random() < 0.5)
-        gamma, _ = _common_gamma(snr, floor, tau2, 2.5e5, half, 200)
+        gamma, _ = _common_gamma(snr, floor, tau2, 2.5e5, half)
         assert gamma == pytest.approx(brentq_common_gamma(snr, floor, tau2, 2.5e5, half), rel=1e-12)
         if gamma == math.inf:
             n_unreachable += 1
@@ -434,7 +434,7 @@ def test_tighter_level_start_never_takes_more_steps(rng, monkeypatch):
         tau2 = T_TOTAL * 10.0 ** rng.uniform(-4, 0)
         half = bool(rng.random() < 0.5)
         before = counter.log1p_calls
-        _common_gamma(snr, floor, tau2, 2.5e5, half, 200)
+        _common_gamma(snr, floor, tau2, 2.5e5, half)
         steps.append(counter.log1p_calls - before)
         u0_steps.append(u0_start_iterations(snr, floor, tau2, half))
     assert all(a <= b for a, b in zip(steps, u0_steps))
@@ -451,8 +451,8 @@ def test_level_over_an_array_matches_each_scalar_call(rng, n):
         snr[0] = max(snr[0], 1e-3)
         floor, half = 10.0 ** rng.uniform(0, 3), bool(trial % 2)
         tau2 = T_TOTAL * 10.0 ** rng.uniform(-4, 0, 200)
-        gamma, slope = _common_gamma(snr, floor, tau2, 2.5e5, half, 200)
-        one_by_one = [_common_gamma(snr, floor, t, 2.5e5, half, 200) for t in tau2]
+        gamma, slope = _common_gamma(snr, floor, tau2, 2.5e5, half)
+        one_by_one = [_common_gamma(snr, floor, t, 2.5e5, half) for t in tau2]
         assert gamma.tolist() == [g for g, _ in one_by_one]
         assert slope.tolist() == [d for _, d in one_by_one]
 
@@ -460,9 +460,9 @@ def test_level_over_an_array_matches_each_scalar_call(rng, n):
 def test_unreachable_equal_power_floor_is_infinite_demand():
     params, chan = shape_instance("frontier-n16", 0)
     params = replace(params, mi_floor=500.0)
-    gamma, slope = _common_gamma(chan.radar_snr, 500.0, 1e-12 * T_TOTAL, 2.5e5, True, 200)
+    gamma, slope = _common_gamma(chan.radar_snr, 500.0, 1e-12 * T_TOTAL, 2.5e5, True)
     assert gamma == math.inf and slope == -math.inf
-    total, slope = _equal_power_allocation(1e-12 * T_TOTAL, chan, params, DEFAULT_OPTIONS)
+    total, slope = _equal_power_allocation(1e-12 * T_TOTAL, chan, params)
     assert np.all(total == math.inf) and slope == -math.inf
 
 
