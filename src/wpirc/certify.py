@@ -238,9 +238,29 @@ def brute_force_oracle(
     ``fl(prefix_s + g[k])`` is nondecreasing too.  So a row's cheapest
     feasible point is the larger of the two floors' first meeting indices,
     if it fits the budget.  Each first index is guessed from the closed-form
-    inverse of the last term and confirmed with the exact test, so the cost
-    is ``tau2_steps * gamma_steps ** (N_c - 1)`` rows of a few probes each.
-    An axis that is not nondecreasing raises :class:`SolverError`.
+    inverse of the last term and confirmed with the exact test.  An axis
+    that is not nondecreasing raises :class:`SolverError`.
+
+    It visits blocks of time steps from the largest ``tau2`` down, a lower
+    block's point replacing the best on a tie, and stops once no lower step
+    can hold a point as cheap as the best.  After each block, the rows are
+    searched again at the block's lowest step ``t`` against each floor
+    lowered by ``eta = 1e-9 (floor + N_c scale T)``; if the cheapest point
+    meeting both lowered floors costs more than the best, the scan ends.
+    So the cost is ``gamma_steps ** (N_c - 1)`` rows of a few probes each
+    per time step visited: every step when no point is feasible, and one
+    or two blocks when the optimal ``tau2`` lies near ``T``.
+
+    Why the stop is exact.  Each exact term ``scale t log2(1 + g s / t)`` is
+    nondecreasing in ``t``, since its derivative is ``scale (ln(1 + a) - a /
+    (1 + a)) / ln 2 >= 0`` with ``a = g s / t``; so each exact floor value is
+    too.  Each computed floor value lies within about ``eps (5 N_c scale T +
+    9 floor)`` of its exact value, with ``eps = 2 ** -53``; the absolute part
+    comes from ``fl(1 + g s / t)``.  ``eta`` is more than 10 ** 5 times
+    twice that error.  So a point that meets a floor as computed at a lower
+    step meets it, lowered by ``eta``, as computed at ``t``.  Every point
+    costing at most the best misses a lowered floor at ``t``, and therefore
+    misses the true floor at every lower step: ties are excluded too.
     """
     nc, n = params.n_subcarriers, grid.gamma_steps
     if nc > 3:
@@ -274,32 +294,47 @@ def brute_force_oracle(
     block = max(1, ORACLE_BLOCK // max(rows, n))
 
     floors = list(zip(links(chan, params.delta_f), (params.mi_floor, params.rate_floor)))
-    best_s = np.inf
-    best: tuple[float, np.ndarray] | None = None
-    for start in range(0, grid.tau2_steps, block):
-        t2 = tau2_axis[start : start + block, None]
+    lowered = [floor - 1e-9 * (floor + nc * link.scale * total_time) for link, floor in floors]
+
+    def cheapest(t2, searched, goals):
+        """Each row's first last-axis index meeting every goal (else ``n``)
+        on the time steps ``t2``, and that point's energy (else inf).
+
+        ``searched`` holds each link's prefix sums and last-axis table.
+        """
         k = np.zeros((t2.shape[0], rows), dtype=np.intp)
-        for link, floor in floors:
-            scale = link.scale * t2
-            tables = [scale * np.log2(1.0 + g_axis * s / t2) for s in link.snr]
-            if not (np.diff(tables[-1], axis=1) >= 0.0).all():
-                raise SolverError("oracle rate term is not nondecreasing in gamma")
-            p = prefix(tables)
-            # an unreachable or free floor, a zero SNR or a one-point axis
+        for (link, _), (p, last), goal in zip(floors, searched, goals):
+            # an unreachable or free goal, a zero SNR or a one-point axis
             # give an infinite or NaN guess, which the clip turns into an end
             with np.errstate(all="ignore"):
-                x = np.expm1((floor - p) * (LN2 / scale)) * t2 / (link.snr[-1] * g_step)
+                scale = link.scale * t2
+                x = np.expm1((goal - p) * (LN2 / scale)) * t2 / (link.snr[-1] * g_step)
                 guess = np.fmin(np.fmax(np.ceil(x), 0.0), n).astype(np.intp)
-            k = np.maximum(k, _first_meeting(p, tables[-1], floor, guess))
-        energy = s_prefix + g_axis[np.minimum(k, n - 1)]
-        fits = (k < n) & (energy <= budget_rate * (total_time - t2))
-        masked = np.where(fits, energy, np.inf)
+            k = np.maximum(k, _first_meeting(p, last, goal, guess))
+        return k, np.where(k < n, s_prefix + g_axis[np.minimum(k, n - 1)], np.inf)
+
+    best_s = np.inf
+    best: tuple[float, np.ndarray] | None = None
+    for start in reversed(range(0, grid.tau2_steps, block)):
+        t2 = tau2_axis[start : start + block, None]
+        searched = []
+        for link, _ in floors:
+            tables = [link.scale * t2 * np.log2(1.0 + g_axis * s / t2) for s in link.snr]
+            if not (np.diff(tables[-1], axis=1) >= 0.0).all():
+                raise SolverError("oracle rate term is not nondecreasing in gamma")
+            searched.append((prefix(tables), tables[-1]))
+        k, energy = cheapest(t2, searched, [floor for _, floor in floors])
+        masked = np.where(energy <= budget_rate * (total_time - t2), energy, np.inf)
         flat = int(np.argmin(masked))
-        if masked.flat[flat] < best_s:
+        if masked.flat[flat] < np.inf and masked.flat[flat] <= best_s:
             b, row = divmod(flat, rows)
             idx = np.unravel_index(row, (n,) * (nc - 1)) + (k.flat[flat],)
             best_s = float(masked.flat[flat])
             best = (float(tau2_axis[start + b]), g_axis[np.array(idx)])
+        if best is not None:
+            lowest = [(p[:1], last[:1]) for p, last in searched]
+            if cheapest(t2[:1], lowest, lowered)[1].min() > best_s:
+                break
 
     if best is None:
         return Solution.empty(SolveStatus.INFEASIBLE, params)

@@ -11,6 +11,7 @@ import functools
 import sys
 from contextlib import contextmanager
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -143,6 +144,9 @@ def _cmd_sweep(cfg: dict) -> int:
             schemes=tuple(cfg["schemes"]),
             normalization=cfg["normalization"],
         )
+        out = Path(cfg["out"])
+        if out.is_dir() or not out.parent.is_dir():
+            raise ValueError(f"out {out} is not a file in an existing directory")
     rows = sim.run_sweep(config)
     sim.write_csv(rows, cfg["out"])
     n_ok = sum(r.status == SolveStatus.OPTIMAL.value for r in rows)
@@ -182,6 +186,8 @@ def _cmd_oracle_check(cfg: dict) -> int:
         )
     with _invalid("oracle_rel_tol"):
         rel_tol = float(cfg["oracle_rel_tol"])
+        if not rel_tol >= 0.0:
+            raise ValueError(f"{rel_tol} is not a nonnegative tolerance")
     chan = _channel(cfg, params)
     sol = solver.solve(params, chan)
     if gamma_max is None:

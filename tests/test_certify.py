@@ -4,6 +4,7 @@ import math
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -560,6 +561,84 @@ class TestOracleMatchesDenseSearch:
         monkeypatch.setattr(certify, "np", DippingLog2())
         with pytest.raises(SolverError):
             brute_force_oracle(params, chan, grid)
+
+
+class TestTopDownScan:
+    """The oracle scans its time steps from the top down and stops early."""
+
+    def test_stop_test_ends_the_scan(self, monkeypatch):
+        # each visited block runs one row search per floor on its steps, and
+        # each stop test one per floor on the block's lowest step
+        steps = []
+        first_meeting = certify._first_meeting
+
+        def spy(prefix, last, floor, guess):
+            steps.append(prefix.shape[0])
+            return first_meeting(prefix, last, floor, guess)
+
+        monkeypatch.setattr(certify, "_first_meeting", spy)
+        block = certify.ORACLE_BLOCK // 200
+        n_top = n_infeasible = 0
+        for params, chan in criterion_1_instances():
+            steps.clear()
+            sol = brute_force_oracle(params, chan, oracle_grid(params, chan))
+            total_time = params.total_time
+            tau2_axis = np.linspace(total_time / 200, total_time, 200)
+            if sol.status is SolveStatus.INFEASIBLE:
+                assert steps == [block] * (2 * 200 // block)
+                n_infeasible += 1
+            elif sol.tau2 > tau2_axis[200 - block]:
+                assert steps == [block, block, 1, 1]
+                n_top += 1
+        assert n_top >= 40 and n_infeasible >= 1
+
+    def test_floor_on_a_nearly_flat_term(self):
+        # where g s / t is below about 1e-6 a term hardly grows with t, so a
+        # floor raised to a grid point's MI at one step is met or missed at
+        # the next steps by rounding alone; only the margin of the stop test
+        # keeps the scan from ending above that step
+        rng = np.random.default_rng(0)
+        n_optimal = 0
+        for seed in range(40):
+            nc = 1 + seed % 2
+            snr = 10.0 ** rng.uniform(-12.0, -6.0, nc)
+            chan = channel(seed, nc, snr, snr)
+            grid = OracleGrid(200, 50, float(10.0 ** rng.uniform(-8.0, -3.0)))
+            params = make_params(n_subcarriers=nc, mi_floor=1.0)
+            tau2_axis = np.linspace(params.total_time / 200, params.total_time, 200)
+            g_axis = np.linspace(0.0, grid.gamma_max, 50)
+            point = SimpleNamespace(
+                tau2=tau2_axis[rng.integers(200)], gamma=g_axis[rng.integers(1, 50, nc)]
+            )
+            mi, _, _, _ = grid_point_values(params, chan, grid, point)
+            ref = assert_matches_dense(replace(params, mi_floor=float(mi)), chan, grid)
+            n_optimal += ref.status is SolveStatus.OPTIMAL
+        assert n_optimal >= 35
+
+
+floor_bits = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=60.0))
+# one tau2 and gamma step count per N_c, each giving several tau2 blocks
+SCAN_GRIDS = {1: (200, 2000), 2: (200, 200), 3: (60, 30)}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    nc=st.integers(min_value=1, max_value=3),
+    mi_floor=floor_bits,
+    rate_floor=floor_bits,
+    stretch=st.floats(min_value=1.0, max_value=3.0),
+    seed=st.integers(min_value=0, max_value=2**16),
+)
+def test_top_down_scan_equals_the_dense_search(data, nc, mi_floor, rate_floor, stretch, seed):
+    """The early stop never changes the oracle's point, over SNRs from 1e-8
+    to 1e6 and gamma axes reaching up to three times the equal-power bound."""
+    assume(mi_floor > 0.0 or rate_floor > 0.0)
+    snrs = st.lists(st.floats(-8.0, 6.0).map(lambda e: 10.0**e), min_size=nc, max_size=nc)
+    params = make_params(n_subcarriers=nc, mi_floor=mi_floor, rate_floor=rate_floor)
+    chan = channel(seed, nc, data.draw(snrs), data.draw(snrs))
+    grid = oracle_grid(params, chan, *SCAN_GRIDS[nc])
+    assert_matches_dense(params, chan, replace(grid, gamma_max=stretch * grid.gamma_max))
 
 
 class TestOracleGrid:

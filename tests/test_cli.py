@@ -73,6 +73,8 @@ class TestConfigHandling:
             ("sweep", {"trials": "many"}),
             ("sweep", {"master_seed": -1}),
             ("oracle-check", {"oracle_rel_tol": "lots"}),
+            ("oracle-check", {"oracle_rel_tol": -1.0}),
+            ("oracle-check", {"oracle_rel_tol": float("nan")}),
         ],
     )
     def test_malformed_value_is_a_config_error_before_any_solve(
@@ -87,6 +89,19 @@ class TestConfigHandling:
         assert main([command, "--config", path]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("out", ["missing/sweep.csv", "."])
+    def test_unwritable_sweep_out_is_a_config_error(self, tmp_path, capsys, monkeypatch, out):
+        # a file in a missing directory, and a directory itself
+        def no_sweep(*args):
+            raise AssertionError("swept before the out path was checked")
+
+        monkeypatch.setattr(sim, "run_sweep", no_sweep)
+        path = write_config(tmp_path, {"trials": 1})
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not a file in an existing directory" in err
+        assert "Traceback" not in err
 
     def test_malformed_yaml_rejected(self, tmp_path):
         path = tmp_path / "bad.yaml"
