@@ -16,7 +16,7 @@ from typing import Callable, Generator, Optional
 
 import numpy as np
 
-from .model import ChannelRealization, Solution, SystemParams
+from .model import ChannelRealization, Solution, SystemParams, harvest_rate
 # bound here so that the layer trace (bench/layertrace.py) can count the
 # rate evaluations and solves this module makes; it makes none
 from .model import comm_rate, radar_mi  # noqa: F401
@@ -190,7 +190,7 @@ def feasibility_frontier(
     radar, comm = links(chan, params.delta_f)
     link_t, link_o = (radar, comm) if mi_target else (comm, radar)
     other = params.rate_floor if mi_target else params.mi_floor
-    budget = params.efficiency * float(np.real(np.vdot(chan.h, chan.h))) * params.power_cap
+    budget = harvest_rate(params, chan)
     if budget == 0.0 or not link_t.snr.any() or (other > 0.0 and not link_o.snr.any()):
         return 0.0
     total_time = params.total_time

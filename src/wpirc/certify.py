@@ -20,8 +20,9 @@ from .model import (
     Solution,
     SolveStatus,
     SystemParams,
+    harvest_rate,
 )
-from .solver import SolverError, _mrt_solution, links
+from .solver import SolverError, _mrt_solution, _validate_instance, links
 
 __all__ = [
     "Certificate",
@@ -35,6 +36,11 @@ __all__ = [
 # Y's eigenvalues are exactly 0 and 1, so rank counts those above this
 # absolute level (a relative one counts rounding noise when N_t = 1).
 RANK_EIG_THRESHOLD = 1e-9
+# relative residual to which the certificate's harvest constraint must be tight
+TIGHT_TOL = 1e-6
+# the most negative eigenvalue rank_one_extract reads as rounding, relative
+# to the leading one (absolute where that is not positive)
+PSD_TOL = 1e-8
 
 
 @dataclass
@@ -55,7 +61,6 @@ def kkt_certificate(
     params: SystemParams,
     chan: ChannelRealization,
     sol: Solution,
-    tol: float = 1e-6,
 ) -> Certificate:
     """Build and check the closed-form dual certificate of a solution.
 
@@ -104,7 +109,7 @@ def kkt_certificate(
         and rank_y == nt - 1
         and comp <= 1e-6 * max(trace, 1e-300)
         and rank_one_ratio <= 1e-8
-        and tight_residual <= tol
+        and tight_residual <= TIGHT_TOL
         and y_psd_residual <= 1e-10
         and q_psd_residual <= 1e-9 * max(lam1, 1e-300)
     )
@@ -120,9 +125,7 @@ def kkt_certificate(
     )
 
 
-def rank_one_extract(
-    covariance_bar: np.ndarray, tau1: float, psd_tol: float = 1e-8
-) -> np.ndarray:
+def rank_one_extract(covariance_bar: np.ndarray, tau1: float) -> np.ndarray:
     """Recover the beamforming vector from a (near) rank-one covariance.
 
     Returns ``sqrt(lam1 / tau1) * u1`` for the leading eigenpair, with the
@@ -137,10 +140,10 @@ def rank_one_extract(
     eigvals, eigvecs = np.linalg.eigh(q)
     lam1 = float(eigvals[-1])
     if lam1 <= 0.0:
-        if eigvals[0] < -psd_tol:
+        if eigvals[0] < -PSD_TOL:
             raise ValueError("covariance is not positive semidefinite")
         return np.zeros(q.shape[0], dtype=complex)
-    if eigvals[0] < -psd_tol * lam1:
+    if eigvals[0] < -PSD_TOL * lam1:
         raise ValueError("covariance is not positive semidefinite")
     u = eigvecs[:, -1]
     idx = np.flatnonzero(np.abs(u) > 1e-12)
@@ -170,9 +173,8 @@ def equal_power_demand_bound(
         levels = [link.level(floor, tau2)[0] for link, floor in floors]
     except SolverError:  # a floor no energy on an all-zero SNR vector can meet
         return math.inf
-    hn2 = float(np.real(np.vdot(chan.h, chan.h)))
     demand = params.n_subcarriers * np.maximum(*levels)
-    fits = demand <= params.efficiency * hn2 * params.power_cap * (total_time - tau2)
+    fits = demand <= harvest_rate(params, chan) * (total_time - tau2)
     return float(np.min(demand[fits], initial=math.inf))
 
 
@@ -265,13 +267,11 @@ def brute_force_oracle(
     nc, n = params.n_subcarriers, grid.gamma_steps
     if nc > 3:
         raise ValueError("oracle limited to at most 3 subcarriers")
-    if chan.n_subcarriers != nc or chan.h.size != params.n_antennas:
-        raise ValueError("channel does not match params")
+    _validate_instance(params, chan)
     if params.mi_floor == 0.0 and params.rate_floor == 0.0:
         return Solution.empty(SolveStatus.ZERO_DEMAND, params)
 
-    hn2 = float(np.real(np.vdot(chan.h, chan.h)))
-    budget_rate = params.efficiency * hn2 * params.power_cap
+    budget_rate = harvest_rate(params, chan)
     total_time = params.total_time
     g_axis = np.linspace(0.0, grid.gamma_max, grid.gamma_steps)
     tau2_axis = np.linspace(total_time / grid.tau2_steps, total_time, grid.tau2_steps)

@@ -17,7 +17,7 @@ import numpy as np
 import yaml
 
 from . import benchmark, certify, sim, solver
-from .model import SolveStatus, SystemParams, comm_rate, radar_mi
+from .model import SolveStatus, SystemParams, comm_rate, harvest_rate, radar_mi
 
 __all__ = ["main", "run"]
 
@@ -193,8 +193,7 @@ def _cmd_oracle_check(cfg: dict) -> int:
     if gamma_max is None:
         gamma_max = certify.equal_power_demand_bound(params, chan, tau2_steps=grid.tau2_steps)
         if not np.isfinite(gamma_max):
-            hn2 = float(np.real(np.vdot(chan.h, chan.h)))
-            gamma_max = params.efficiency * hn2 * params.power_cap * params.total_time
+            gamma_max = harvest_rate(params, chan) * params.total_time
         grid = replace(grid, gamma_max=float(gamma_max))
     ref = certify.brute_force_oracle(params, chan, grid)
     print(f"solver: {sol.status.value}, energy {sol.energy:.6e} J")

@@ -6,7 +6,8 @@ communication rate of the OFDM waveform, and constraint bookkeeping.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "ConstraintRecord",
     "FeasibilityReport",
     "harvested_energy",
+    "harvest_rate",
     "radar_mi",
     "comm_rate",
     "check_constraints",
@@ -57,12 +59,12 @@ class SystemParams:
         if self.n_subcarriers < 1 or self.n_antennas < 1:
             raise ValueError("n_subcarriers and n_antennas must be positive")
         for name in ("delta_f", "symbol_duration", "total_time", "power_cap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
-        if self.mi_floor < 0 or self.rate_floor < 0:
-            raise ValueError("rate floors must be nonnegative")
+        if not (0 <= self.mi_floor < math.inf and 0 <= self.rate_floor < math.inf):
+            raise ValueError("rate floors must be nonnegative and finite")
         if self.symbol_duration > self.total_time:
             raise ValueError("symbol_duration must not exceed total_time")
 
@@ -91,6 +93,8 @@ class ChannelRealization:
             raise ValueError("radar_snr and comm_snr must have equal length")
         if np.any(self.radar_snr < 0) or np.any(self.comm_snr < 0):
             raise ValueError("SNR vectors must be elementwise nonnegative")
+        if not all(np.isfinite(x).all() for x in (self.h, self.radar_snr, self.comm_snr)):
+            raise ValueError("channel fields must be finite")
 
     @property
     def n_subcarriers(self) -> int:
@@ -168,6 +172,13 @@ def harvested_energy(h: np.ndarray, w: np.ndarray, tau1: float, eta: float) -> f
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
     return float(eta * tau1 * np.abs(np.vdot(h, w)) ** 2)
+
+
+def harvest_rate(params: SystemParams, chan: ChannelRealization) -> float:
+    """Energy harvested per second of the harvesting slot at full power
+    on the maximum-ratio beam: ``B = eta ||h||^2 P``."""
+    hn2 = float(np.real(np.vdot(chan.h, chan.h)))
+    return params.efficiency * hn2 * params.power_cap
 
 
 def _checked_rate_inputs(gamma, snr, tau2):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -46,6 +47,8 @@ class SweepConfig:
         values = tuple(float(v) for v in self.sweep_values)
         if not values or any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep_values must be nonempty and strictly increasing")
+        if not all(map(math.isfinite, (*values, self.radar_snr_db, self.comm_snr_db))):
+            raise ValueError("sweep_values and the SNRs in dB must be finite")
         object.__setattr__(self, "sweep_values", values)
         if self.trials < 1:
             raise ValueError("trials must be positive")
@@ -88,10 +91,13 @@ def sample_channel(
     With ``empirical`` normalization the per-realization mean of each SNR
     vector equals the nominal linear SNR exactly; ``ensemble`` scales the
     raw unit-variance gains instead, so only the ensemble average matches.
-    Any other ``normalization`` raises ``ValueError``.
+    Any other ``normalization``, or a non-finite SNR in dB, raises
+    ``ValueError``.
     """
     if normalization not in ("empirical", "ensemble"):
         raise ValueError("normalization must be 'empirical' or 'ensemble'")
+    if not (math.isfinite(radar_snr_db) and math.isfinite(comm_snr_db)):
+        raise ValueError("SNRs in dB must be finite")
     rng = np.random.default_rng(seed)
     nt, nc = params.n_antennas, params.n_subcarriers
     h = np.sqrt(H_VARIANCE / 2.0) * (rng.standard_normal(nt) + 1j * rng.standard_normal(nt))

@@ -26,6 +26,7 @@ from .model import (
     SolveStatus,
     SystemParams,
     comm_rate,
+    harvest_rate,
     radar_mi,
 )
 
@@ -134,9 +135,9 @@ class Link:
     A floor is ``bits = scale tau2 sum log2(1 + x_m s_m)`` over the link's
     SNRs ``s`` and the powers ``x = gamma / tau2``, a perspective of a
     concave function, with ``scale = delta_f / 2`` for the sensing MI and
-    ``delta_f`` for the data rate (:func:`links`).  Each method builds the
-    tables it needs on first use and keeps them, so no caller pays for the
-    tables of another.
+    ``delta_f`` for the data rate (:func:`links`).  The tables are built on
+    first use and kept: one sorted table for :meth:`fill` and :meth:`pour`,
+    and the unsorted sums of :meth:`level`, so a level never sorts.
     """
 
     def __init__(self, snr: np.ndarray, scale: float) -> None:
@@ -144,25 +145,20 @@ class Link:
         self.scale = scale
 
     @cached_property
-    def _filled(self) -> tuple:
-        """Tables of :meth:`fill`: with the positive SNRs in decreasing
-        order, the sums ``L_k`` of their first ``k`` log2 and ``theta_k = L_k
-        - k log2 s_k``; and ``1 / s`` in the link's order (inf at 0)."""
-        pos = self.snr > 0
-        log_s = np.log2(np.sort(self.snr[pos])[::-1])
-        log_sum = np.cumsum(log_s)
-        inv = np.divide(1.0, self.snr, out=np.full_like(self.snr, np.inf), where=pos)
-        return log_sum, log_sum - np.arange(1, log_s.size + 1) * log_s, inv
-
-    @cached_property
-    def _poured(self) -> tuple:
-        """Tables of :meth:`pour`: the same ``L_k``, the sums ``C_k`` of the
-        first ``k`` inverses and ``k / s_k - C_k``; and the same ``1 / s``."""
+    def _sorted(self) -> tuple:
+        """Tables of :meth:`fill` and :meth:`pour`: with the positive SNRs
+        ``s_k`` in decreasing order, the sums ``L_k`` of their first ``k``
+        log2, ``theta_k = L_k - k log2 s_k``, the sums ``C_k`` of the first
+        ``k`` inverses and ``k / s_k - C_k``; and ``1 / s`` in the link's
+        order (inf at 0)."""
         pos = self.snr > 0
         s = np.sort(self.snr[pos])[::-1]
+        log_s = np.log2(s)
+        log_sum = np.cumsum(log_s)
+        k = np.arange(1, s.size + 1)
         inv_sum = np.cumsum(1.0 / s)
         inv = np.divide(1.0, self.snr, out=np.full_like(self.snr, np.inf), where=pos)
-        return np.cumsum(np.log2(s)), inv_sum, np.arange(1, s.size + 1) / s - inv_sum, inv
+        return log_sum, log_sum - k * log_s, inv_sum, k / s - inv_sum, inv
 
     @cached_property
     def _level_sums(self) -> tuple:
@@ -190,7 +186,7 @@ class Link:
         from ``theta_1 = 0``.  The floor's multiplier is ``a ln 2 / scale``.
         A level past ``2**1000`` reads ``inf``, the multiplier too.
         """
-        log_sum, theta, inv = self._filled
+        log_sum, theta, _, _, inv = self._sorted
         if not log_sum.size:
             raise SolverError("rate floor demanded over an all-zero SNR vector")
         target = floor / (self.scale * tau2)
@@ -271,7 +267,7 @@ class Link:
         ``k / s_k - C_k``, and then ``a = (total + C_k) / k``, ``G = k log2 a
         + L_k`` and ``dG/dtotal = 1 / (a ln 2)``.
         """
-        log_sum, inv_sum, theta, inv = self._poured
+        log_sum, _, inv_sum, theta, inv = self._sorted
         k = int(np.searchsorted(theta, total))  # theta[0] = 0 < total
         a = (total + inv_sum[k - 1]) / k
         return k * math.log2(a) + log_sum[k - 1], 1.0 / (a * LN2), np.maximum(a - inv, 0.0)
@@ -601,44 +597,6 @@ def mrt_covariance(
     return q, s / (eta * hn2)
 
 
-def _largest_phi_root(
-    phi: Callable[[float], Generator],
-    total_time: float,
-) -> Generator[object, object, Optional[float]]:
-    """Largest root of the convex feasibility margin on (0, T).
-
-    ``phi(t)`` is a search that returns the margin and its slope.  Newton
-    steps start at ``T``, where the margin is positive.  Every tangent of a
-    convex function lies below it, so each tangent root sits at or right of
-    the largest root and the margin stays positive on the iterates until a
-    step crosses it.  A step shorter than ``TIME_TOL * T`` is lengthened to
-    that, which crosses a simple root, and the first iterate with a
-    nonpositive margin is returned.
-
-    Returns None when the margin is positive on all of (0, T].  Each exit
-    is a certificate, since the tangent at an iterate bounds the margin
-    from below left of it: the margin is not finite there, or its slope is
-    not positive, or the tangent root is not positive.  A near-tangent
-    instance whose steps stall below ``TIME_TOL * T`` with a positive margin
-    ends on one of these (or on the ``MAX_ITER`` cap) and counts as
-    infeasible: no feasible interval wider than ``TIME_TOL * T`` was passed.
-    """
-    xtol = TIME_TOL * total_time
-    t = total_time
-    value, slope = yield from phi(t)
-    for _ in range(MAX_ITER):
-        if not (math.isfinite(value) and slope > 0.0):
-            return None
-        step = max(value / slope, xtol)
-        if step >= t:
-            return None
-        t -= step
-        value, slope = yield from phi(t)
-        if value <= 0.0:
-            return t
-    return None
-
-
 def solve_with_allocation(
     params: SystemParams,
     chan: ChannelRealization,
@@ -652,12 +610,10 @@ def solve_with_allocation(
     subgradient where the demand has a kink).  A floor that no finite
     profile meets is reported as infinite demand.  The demand is convex in
     ``tau2``, so ``phi(tau2) = sum(gamma) - eta ||h||^2 P (T - tau2)`` is
-    too, and the optimal slot is its largest root (:func:`_largest_phi_root`,
-    one allocator call per probe).  There the maximum-ratio covariance meets
-    the harvest constraint with equality (:func:`_mrt_solution`).
-
-    The search is :func:`_outer_steps`, whose every request is a ``tau2``
-    that ``allocator`` answers.
+    too, and the optimal slot is its largest root, found by the search
+    :func:`_outer_steps` with one allocator call per probe.  There the
+    maximum-ratio covariance meets the harvest constraint with equality
+    (:func:`_mrt_solution`).
     """
     return _run(_outer_steps(params, chan, _ask), lambda ts: [allocator(t) for t in ts])
 
@@ -674,31 +630,50 @@ def _outer_steps(
 ) -> Generator[object, object, Solution]:
     """:func:`solve_with_allocation` as a search: ``allocation(tau2)`` is
     the search for ``(gamma, slope)`` at ``tau2``, and its requests pass
-    through."""
+    through.
+
+    The slot is the largest root of the convex margin ``phi`` on (0, T),
+    with ``B = eta ||h||^2 P`` (:func:`wpirc.model.harvest_rate`).  Newton
+    steps start at ``T``, where the margin is positive.  Every tangent of a
+    convex function lies below it, so each tangent root sits at or right of
+    the largest root and the margin stays positive on the iterates until a
+    step crosses it.  A step shorter than ``TIME_TOL * T`` is lengthened to
+    that, which crosses a simple root, and the first iterate after a step
+    with a nonpositive margin is the slot, its probe the profile.
+
+    The instance is infeasible when the margin is positive on all of (0,
+    T].  Each such exit is a certificate, since the tangent at an iterate
+    bounds the margin from below left of it: the margin is not finite
+    there, or its slope is not positive, or the tangent root is not
+    positive.  A near-tangent instance whose steps stall below ``TIME_TOL *
+    T`` with a positive margin ends on one of these (or after ``MAX_ITER``
+    steps) and counts as infeasible: no feasible interval wider than
+    ``TIME_TOL * T`` was passed.
+    """
     _validate_instance(params, chan)
     if params.mi_floor == 0.0 and params.rate_floor == 0.0:
         return Solution.empty(SolveStatus.ZERO_DEMAND, params)
-
-    h = chan.h
-    hn2 = float(np.real(np.vdot(h, h)))
-    budget_rate = params.efficiency * hn2 * params.power_cap
+    budget_rate = harvest_rate(params, chan)
     if budget_rate == 0.0:
         return Solution.empty(SolveStatus.INFEASIBLE, params)
 
     total_time = params.total_time
-    probe: tuple[np.ndarray, float] = (np.zeros(0), 0.0)
-
-    def phi(t2: float) -> Generator[object, object, tuple[float, float]]:
-        nonlocal probe
-        gamma, slope = yield from allocation(t2)
-        probe = gamma, float(np.sum(gamma))
-        return probe[1] - budget_rate * (total_time - t2), slope + budget_rate
-
-    tau2 = yield from _largest_phi_root(phi, total_time)
-    if tau2 is None:
-        return Solution.empty(SolveStatus.INFEASIBLE, params)
-
-    return _mrt_solution(params, h, tau2, *probe)  # the search returns its last probe
+    xtol = TIME_TOL * total_time
+    tau2 = total_time
+    for steps in range(MAX_ITER + 1):
+        gamma, slope = yield from allocation(tau2)
+        total = float(np.sum(gamma))
+        margin = total - budget_rate * (total_time - tau2)
+        if steps and margin <= 0.0:
+            return _mrt_solution(params, chan.h, tau2, gamma, total)
+        slope += budget_rate
+        if not (math.isfinite(margin) and slope > 0.0):
+            break
+        step = max(margin / slope, xtol)
+        if step >= tau2:
+            break
+        tau2 -= step
+    return Solution.empty(SolveStatus.INFEASIBLE, params)
 
 
 def _mrt_solution(params, h, tau2, gamma, total) -> Solution:

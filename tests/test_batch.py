@@ -14,7 +14,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wpirc import ChannelRealization, SolveStatus, eq_solve, solve
+from wpirc import ChannelRealization, Solution, SolveStatus, eq_solve, solve
 from wpirc.benchmark import _eq_solve_batch
 from wpirc.sim import sample_channel
 from wpirc.solver import SolverError, _run_batch, _solve_batch
@@ -122,6 +122,23 @@ def test_subnormal_floor_gives_the_equal_power_level_zero():
     # the rate floor sets the level: the MI floor's own is 0
     assert eq.energy == eq_solve(replace(params, mi_floor=0.0), chan).energy
     assert math.isfinite(eq.energy) and eq.energy >= op.energy
+
+
+@pytest.mark.parametrize("zero", ["efficiency", "h"])
+def test_zero_harvest_budget_is_infeasible(zero):
+    # B = eta ||h||^2 P is 0: no energy reaches the transmitter at any split
+    params = make_params(n_subcarriers=4, mi_floor=10.0, rate_floor=10.0)
+    chan = sample_channel(0, params, 10.0, 10.0)
+    if zero == "efficiency":
+        params = replace(params, efficiency=0.0)
+    else:
+        chan = replace(chan, h=np.zeros_like(chan.h))
+    rows = [params, replace(params, mi_floor=0.0), replace(params, mi_floor=1e4)]
+    empty = Solution.empty(SolveStatus.INFEASIBLE, params)
+    for single, batch in SCHEMES:
+        assert_same_row(single(params, chan), empty)
+        for got in batch(rows, chan):
+            assert_same_row(got, empty)
 
 
 class TestRunBatch:

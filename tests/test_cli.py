@@ -46,6 +46,16 @@ class TestSolveCommand:
         path = write_config(tmp_path, {"mi_floor": 1e7})
         assert main(["solve", "--config", path]) == EXIT_INFEASIBLE
 
+    def test_solver_error_exits_2(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise solver.SolverError("multiplier search did not converge")
+
+        monkeypatch.setattr(solver, "solve", fail)
+        assert main(["solve", "--config", write_config(tmp_path)]) == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: multiplier search did not converge")
+        assert "Traceback" not in err
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path):
@@ -75,6 +85,14 @@ class TestConfigHandling:
             ("oracle-check", {"oracle_rel_tol": "lots"}),
             ("oracle-check", {"oracle_rel_tol": -1.0}),
             ("oracle-check", {"oracle_rel_tol": float("nan")}),
+            ("solve", {"mi_floor": float("nan")}),
+            ("solve", {"total_time": float("inf")}),
+            ("solve", {"delta_f": float("inf")}),
+            ("solve", {"power_cap": float("inf")}),
+            ("solve", {"radar_snr_db": float("inf")}),
+            ("certify", {"comm_snr_db": float("-inf")}),
+            ("sweep", {"sweep_values": [1.0, float("nan")]}),
+            ("sweep", {"radar_snr_db": float("inf")}),
         ],
     )
     def test_malformed_value_is_a_config_error_before_any_solve(
@@ -184,6 +202,11 @@ class TestCertifyCommand:
         path = write_config(tmp_path, {"mi_floor": 1e7})
         assert main(["certify", "--config", path]) == EXIT_INFEASIBLE
 
+    def test_zero_floors_are_trivially_valid(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"mi_floor": 0.0, "rate_floor": 0.0})
+        assert main(["certify", "--config", path]) == EXIT_OK
+        assert "certificate  : trivially valid (zero demand)" in capsys.readouterr().out
+
 
 class TestOracleCheckCommand:
     def test_agreement_on_small_instance(self, tmp_path, capsys):
@@ -227,6 +250,16 @@ class TestOracleCheckCommand:
         path = write_config(tmp_path, bad)
         assert main(["oracle-check", "--config", path]) == EXIT_CONFIG
         assert "invalid oracle grid" in capsys.readouterr().err
+
+    def test_zero_gamma_axis_is_a_status_mismatch(self, tmp_path, capsys):
+        # a grid whose every gamma is 0 meets no positive floor, which the
+        # solver meets
+        path = write_config(tmp_path, {"oracle_gamma_max": 0.0, "mi_floor": 10.0,
+                                       "rate_floor": 10.0})
+        assert main(["oracle-check", "--config", path]) == EXIT_ERROR
+        out = capsys.readouterr().out
+        assert "solver: optimal" in out and "oracle: infeasible" in out
+        assert "status mismatch" in out
 
     def test_rejects_large_instance(self, tmp_path):
         path = write_config(tmp_path, {"n_subcarriers": 8})

@@ -113,6 +113,30 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             make_params(n_subcarriers=0)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["delta_f", "symbol_duration", "total_time", "power_cap", "efficiency", "mi_floor",
+         "rate_floor"],
+    )
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_float(self, name, value):
+        with pytest.raises(ValueError):
+            make_params(**{name: value})
+
+
+class TestChannelRealization:
+    @pytest.mark.parametrize("name", ["h", "radar_snr", "comm_snr"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_entry(self, name, value):
+        fields = {"h": np.ones(2, complex), "radar_snr": np.ones(3), "comm_snr": np.ones(3)}
+        fields[name][1] = value
+        with pytest.raises(ValueError, match="finite"):
+            ChannelRealization(**fields)
+
+    def test_accepts_zero_snrs_and_zero_channel(self):
+        chan = ChannelRealization(h=np.zeros(2), radar_snr=np.zeros(3), comm_snr=np.zeros(3))
+        assert chan.n_subcarriers == 3
+
 
 class TestCheckConstraints:
     def test_zero_solution_zero_floors(self):

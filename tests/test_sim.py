@@ -44,6 +44,11 @@ class TestSampleChannel:
         with pytest.raises(ValueError, match="normalization must be"):
             sample_channel(0, make_params(), 10.0, 10.0, normalization)
 
+    @pytest.mark.parametrize("snr_db", [(np.inf, 10.0), (10.0, -np.inf), (np.nan, 10.0)])
+    def test_non_finite_snr_db_rejected(self, snr_db):
+        with pytest.raises(ValueError, match="finite"):
+            sample_channel(0, make_params(), *snr_db)
+
     def test_h_variance_law_of_large_numbers(self):
         # ~1e5 gain samples across many draws; per-entry variance is 0.2
         params = make_params(n_subcarriers=1, n_antennas=50)
@@ -147,6 +152,19 @@ class TestRunSweep:
     def test_rejects_unsorted_sweep_values(self):
         with pytest.raises(ValueError):
             self.small_config(sweep_values=(30.0, 10.0))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(sweep_values=(1.0, np.nan)),
+            dict(sweep_values=(1.0, np.inf)),
+            dict(radar_snr_db=np.inf),
+            dict(comm_snr_db=np.nan),
+        ],
+    )
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            self.small_config(**bad)
 
 
 class TestWriteCsv:
