@@ -172,9 +172,9 @@ def feasibility_frontier(
     gets ``B (T - tau2) / N_c`` (:meth:`wpirc.solver.Link.spread`), and
     ``V`` is that profile's target wherever it meets the other floor.  Where
     even the whole budget misses the other floor, ``V = -inf`` and the slope
-    of that floor's own curve points to its interval.  The frontier is 0
-    when the other floor is unreachable on its own, which the same maximizer
-    decides on that floor's curve.
+    of that floor's own curve points to its interval.  Where the other
+    floor is out of reach, every ``V(tau2)`` is ``-inf``, the search
+    returns ``-inf`` and the frontier is 0.
 
     The result is a lower bound within 1e-9 bits of the frontier (to the
     inner allocation's tolerance where the other floor binds), unless the
@@ -203,9 +203,6 @@ def feasibility_frontier(
         total = budget * (total_time - t2) / t2
         g, grad, x = allocate(link, total)
         return link.scale * t2 * g, link.scale * (g - (total + budget) * grad), x
-
-    if other > 0.0 and _concave_max(lambda t2: reach(link_o, t2)[:2], total_time) < other:
-        return 0.0
 
     def value(t2: float) -> tuple[float, float]:
         bits, slope, x = reach(link_t, t2)

@@ -52,8 +52,8 @@ DEFAULTS: dict = {
     # oracle cross-check
     "oracle_tau2_steps": 200,
     "oracle_gamma_steps": 200,
-    # default: certify.equal_power_demand_bound, or the maximum harvestable
-    # energy where that bound is inf
+    # default: certify.equal_power_demand_bound widened by 1e-9 relative, or
+    # the maximum harvestable energy where that bound is inf
     "oracle_gamma_max": None,
     "oracle_rel_tol": 0.02,
 }
@@ -191,7 +191,10 @@ def _cmd_oracle_check(cfg: dict) -> int:
     chan = _channel(cfg, params)
     sol = solver.solve(params, chan)
     if gamma_max is None:
+        # widened by 1e-9 relative: at N_c = 1 the bound is the exact demand,
+        # and the one grid point there can miss the floors by rounding
         gamma_max = certify.equal_power_demand_bound(params, chan, tau2_steps=grid.tau2_steps)
+        gamma_max *= 1.0 + 1e-9
         if not np.isfinite(gamma_max):
             gamma_max = harvest_rate(params, chan) * params.total_time
         grid = replace(grid, gamma_max=float(gamma_max))

@@ -47,9 +47,13 @@ class SweepConfig:
         values = tuple(float(v) for v in self.sweep_values)
         if not values or any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep_values must be nonempty and strictly increasing")
-        if not all(map(math.isfinite, (*values, self.radar_snr_db, self.comm_snr_db))):
-            raise ValueError("sweep_values and the SNRs in dB must be finite")
+        if not all(map(math.isfinite, values)):
+            raise ValueError("sweep_values must be finite")
         object.__setattr__(self, "sweep_values", values)
+        n = self.base.n_subcarriers  # no gain exceeds N_c under empirical normalization
+        for snr_db in (self.radar_snr_db, self.comm_snr_db):
+            if not math.isfinite(_linear_snr(snr_db) * n):
+                raise ValueError(f"SNR of {snr_db} dB has no finite value on {n} subcarriers")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.master_seed < 0:
@@ -79,6 +83,17 @@ class SweepRow:
 CSV_COLUMNS = tuple(f.name for f in fields(SweepRow))
 
 
+def _linear_snr(snr_db: float) -> float:
+    """``10^(snr_db / 10)``; ``ValueError`` where ``snr_db`` is not finite
+    or the linear value overflows."""
+    if math.isfinite(snr_db):
+        try:
+            return 10.0 ** (snr_db / 10.0)
+        except OverflowError:
+            pass
+    raise ValueError(f"SNR of {snr_db} dB has no finite linear value")
+
+
 def sample_channel(
     seed: int,
     params: SystemParams,
@@ -91,29 +106,28 @@ def sample_channel(
     With ``empirical`` normalization the per-realization mean of each SNR
     vector equals the nominal linear SNR exactly; ``ensemble`` scales the
     raw unit-variance gains instead, so only the ensemble average matches.
-    Any other ``normalization``, or a non-finite SNR in dB, raises
-    ``ValueError``.
+    Any other ``normalization``, or an SNR in dB that is not finite or
+    whose linear value overflows, raises ``ValueError``.
     """
     if normalization not in ("empirical", "ensemble"):
         raise ValueError("normalization must be 'empirical' or 'ensemble'")
-    if not (math.isfinite(radar_snr_db) and math.isfinite(comm_snr_db)):
-        raise ValueError("SNRs in dB must be finite")
+    radar_linear, comm_linear = _linear_snr(radar_snr_db), _linear_snr(comm_snr_db)
     rng = np.random.default_rng(seed)
     nt, nc = params.n_antennas, params.n_subcarriers
     h = np.sqrt(H_VARIANCE / 2.0) * (rng.standard_normal(nt) + 1j * rng.standard_normal(nt))
     g_radar = (rng.standard_normal(nc) + 1j * rng.standard_normal(nc)) / np.sqrt(2.0)
     g_comm = (rng.standard_normal(nc) + 1j * rng.standard_normal(nc)) / np.sqrt(2.0)
 
-    def snr_vector(gains: np.ndarray, snr_db: float) -> np.ndarray:
+    def snr_vector(gains: np.ndarray, linear: float) -> np.ndarray:
         power = np.abs(gains) ** 2
         if normalization == "empirical":
             power = power / np.mean(power)
-        return 10.0 ** (snr_db / 10.0) * power
+        return linear * power
 
     return ChannelRealization(
         h=h,
-        radar_snr=snr_vector(g_radar, radar_snr_db),
-        comm_snr=snr_vector(g_comm, comm_snr_db),
+        radar_snr=snr_vector(g_radar, radar_linear),
+        comm_snr=snr_vector(g_comm, comm_linear),
     )
 
 

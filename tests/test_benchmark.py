@@ -175,6 +175,13 @@ class TestFeasibilityFrontier:
         chan = ChannelRealization(h=[1, 1], radar_snr=[1, 1], comm_snr=[1, 1])
         assert feasibility_frontier(params, chan, target="mi") == 0.0
 
+    @pytest.mark.parametrize("target, scheme", [("both", "op"), ("mi", "opt")])
+    def test_invalid_target_or_scheme_rejected(self, target, scheme):
+        params = make_params()
+        chan = ChannelRealization(h=[1, 1], radar_snr=[1, 1], comm_snr=[1, 1])
+        with pytest.raises(ValueError, match="must be"):
+            feasibility_frontier(params, chan, target, scheme)
+
     def test_frontier_nonincreasing_in_other_floor(self):
         params = make_params(n_subcarriers=3, n_antennas=2)
         chan = sample_channel(9, params, 12.0, 12.0)
@@ -317,6 +324,25 @@ class TestFeasibilityFrontier:
                 for scheme in ("op", "eq"):
                     feasibility_frontier(params, chan, target, scheme)
         assert max(counts) <= 12
+
+    def test_one_search_per_frontier(self, monkeypatch):
+        # the search over the target's curve also decides whether the other
+        # floor can be met at all: no second search on that floor's curve
+        calls = []
+        search = wpirc.benchmark._concave_max
+
+        def counted(f, total_time):
+            calls.append(f)
+            return search(f, total_time)
+
+        monkeypatch.setattr(wpirc.benchmark, "_concave_max", counted)
+        for target in ("mi", "rate"):
+            params, chans = frontier_pool(target)
+            for chan in chans:
+                for scheme in ("op", "eq"):
+                    calls.clear()
+                    feasibility_frontier(params, chan, target, scheme)
+                    assert len(calls) == 1
 
     def test_other_floor_at_its_reachable_maximum(self):
         # the other floor alone takes the whole budget at the edge of its

@@ -265,6 +265,23 @@ class TestRankOneExtract:
         assert cosine >= 1 - 1e-10
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: rank_one_extract(np.eye(2), 0.0), "tau1 must be positive"),
+        (lambda: rank_one_extract([[1.0, 1.0], [0.0, 1.0]], 1.0), "Hermitian"),
+        (lambda: rank_one_extract(np.diag([-1.0, -0.5]), 1.0), "positive semidefinite"),
+        (lambda: kkt_certificate(
+            make_params(), ChannelRealization(h=[0, 0], radar_snr=[1, 1], comm_snr=[1, 1]),
+            Solution.empty(SolveStatus.OPTIMAL, make_params())), "zero channel"),
+    ],
+    ids=["tau1", "non-hermitian", "negative-definite", "kkt-zero-channel"],
+)
+def test_invalid_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 class TestEqualPowerDemandBound:
     def test_matches_bisection_on_criterion_1_instances(self):
         n_finite = 0

@@ -93,6 +93,8 @@ class TestConfigHandling:
             ("certify", {"comm_snr_db": float("-inf")}),
             ("sweep", {"sweep_values": [1.0, float("nan")]}),
             ("sweep", {"radar_snr_db": float("inf")}),
+            ("solve", {"radar_snr_db": 4000.0}),
+            ("sweep", {"radar_snr_db": 3080.0}),
         ],
     )
     def test_malformed_value_is_a_config_error_before_any_solve(
@@ -213,6 +215,15 @@ class TestOracleCheckCommand:
         path = write_config(tmp_path)
         assert main(["oracle-check", "--config", path]) == EXIT_OK
         assert "relative gap" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_single_subcarrier_agrees(self, tmp_path, capsys, seed):
+        # with one subcarrier the equal-power bound is the exact demand: the
+        # grid point that meets the floors lies on the end of the gamma axis
+        path = write_config(tmp_path, {"n_subcarriers": 1, "mi_floor": 10.0, "rate_floor": 12.0})
+        assert main(["oracle-check", "--config", path, "--seed", str(seed)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "solver: optimal" in out and "oracle: optimal" in out
 
     def test_infeasible_instance_falls_back_to_the_harvestable_energy(
         self, tmp_path, capsys, monkeypatch

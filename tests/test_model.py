@@ -166,3 +166,34 @@ class TestCheckConstraints:
             if sol.status is SolveStatus.OPTIMAL:
                 assert check_constraints(params, chan, sol, tol=1e-6).all_satisfied
 
+
+def zero_solution_report(n_subcarriers=2, n_antennas=2):
+    """The constraint report of the zero solution, sized by the arguments,
+    on a two-antenna, two-subcarrier channel."""
+    params = make_params(n_subcarriers=n_subcarriers, n_antennas=n_antennas)
+    chan = ChannelRealization(h=[1.0, 0.5], radar_snr=[1.0, 1.0], comm_snr=[1.0, 1.0])
+    return check_constraints(params, chan, Solution.empty(SolveStatus.ZERO_DEMAND, params))
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: ChannelRealization(h=np.ones((2, 2)), radar_snr=[1.0], comm_snr=[1.0]),
+         ValueError, "one-dimensional"),
+        (lambda: ChannelRealization(h=[1.0], radar_snr=[1.0, 1.0], comm_snr=[1.0]),
+         ValueError, "equal length"),
+        (lambda: ChannelRealization(h=[1.0], radar_snr=[-1.0], comm_snr=[1.0]),
+         ValueError, "nonnegative"),
+        (lambda: zero_solution_report()["no_such_constraint"], KeyError, "no_such_constraint"),
+        (lambda: harvested_energy([1, 0], [1, 0], -1e-4, 0.5), ValueError, "tau1"),
+        (lambda: harvested_energy([1, 0], [1, 0], 1e-4, 1.5), ValueError, "eta"),
+        (lambda: radar_mi([1e-4, 1e-4], [1.0], 1e-4, 2.5e5), ValueError, "equal length"),
+        (lambda: zero_solution_report(n_subcarriers=3), ValueError, "gamma length"),
+        (lambda: zero_solution_report(n_antennas=3), ValueError, "beam_vector length"),
+    ],
+    ids=["channel-ndim", "channel-lengths", "channel-negative", "report-key", "harvest-tau1",
+         "harvest-eta", "rate-lengths", "check-gamma", "check-beam"],
+)
+def test_invalid_input_rejected(call, error, match):
+    with pytest.raises(error, match=match):
+        call()

@@ -44,7 +44,9 @@ class TestSampleChannel:
         with pytest.raises(ValueError, match="normalization must be"):
             sample_channel(0, make_params(), 10.0, 10.0, normalization)
 
-    @pytest.mark.parametrize("snr_db", [(np.inf, 10.0), (10.0, -np.inf), (np.nan, 10.0)])
+    @pytest.mark.parametrize(
+        "snr_db", [(np.inf, 10.0), (10.0, -np.inf), (np.nan, 10.0), (4000.0, 10.0)]
+    )
     def test_non_finite_snr_db_rejected(self, snr_db):
         with pytest.raises(ValueError, match="finite"):
             sample_channel(0, make_params(), *snr_db)
@@ -160,10 +162,23 @@ class TestRunSweep:
             dict(sweep_values=(1.0, np.inf)),
             dict(radar_snr_db=np.inf),
             dict(comm_snr_db=np.nan),
+            dict(radar_snr_db=3080.0),
         ],
     )
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError, match="finite"):
+            self.small_config(**bad)
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            (dict(trials=0), "trials must be positive"),
+            (dict(schemes=()), "schemes must be"),
+            (dict(schemes=("op", "opt")), "schemes must be"),
+        ],
+    )
+    def test_rejects_invalid_values(self, bad, match):
+        with pytest.raises(ValueError, match=match):
             self.small_config(**bad)
 
 

@@ -350,3 +350,25 @@ class TestSolve:
         taus = np.linspace(1e-5, 1e-4, 12)
         demands = [float(np.sum(inner_allocation(t, chan, params).gamma)) for t in taus]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(demands, demands[1:]))
+
+
+TWO_CARRIERS = ChannelRealization(h=[1.0, 0.5], radar_snr=[1.0, 2.0], comm_snr=[2.0, 1.0])
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: DualPair(-1.0, 0.0), "multipliers must be nonnegative"),
+        (lambda: subcarrier_gamma(DualPair(1.0, 1.0), 1.0, 1.0, 0.0, 2.5e5), "tau2 must be"),
+        (lambda: subcarrier_gamma(DualPair(1.0, 1.0), -1.0, 1.0, 1e-4, 2.5e5), "gains must be"),
+        (lambda: inner_allocation(0.0, TWO_CARRIERS, make_params(mi_floor=1.0)), "tau2 must be"),
+        (lambda: mrt_covariance([1.0, 0.0], -1.0, 0.5), "demand must be nonnegative"),
+        (lambda: solve(make_params(n_antennas=3), TWO_CARRIERS), "n_antennas"),
+        (lambda: solve(make_params(n_subcarriers=3), TWO_CARRIERS), "n_subcarriers"),
+    ],
+    ids=["dual-pair", "gamma-tau2", "gamma-gains", "inner-tau2", "mrt-demand", "solve-antennas",
+         "solve-subcarriers"],
+)
+def test_invalid_input_rejected(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
