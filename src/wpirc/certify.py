@@ -169,10 +169,7 @@ def equal_power_demand_bound(
     total_time = params.total_time
     tau2 = np.linspace(total_time / tau2_steps, total_time, tau2_steps)
     floors = zip(links(chan, params.delta_f), (params.mi_floor, params.rate_floor))
-    try:
-        levels = [link.level(floor, tau2)[0] for link, floor in floors]
-    except SolverError:  # a floor no energy on an all-zero SNR vector can meet
-        return math.inf
+    levels = [link.level(floor, tau2)[0] for link, floor in floors]
     demand = params.n_subcarriers * np.maximum(*levels)
     fits = demand <= harvest_rate(params, chan) * (total_time - tau2)
     return float(np.min(demand[fits], initial=math.inf))

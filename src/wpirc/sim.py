@@ -47,9 +47,8 @@ class SweepConfig:
         values = tuple(float(v) for v in self.sweep_values)
         if not values or any(b <= a for a, b in zip(values, values[1:])):
             raise ValueError("sweep_values must be nonempty and strictly increasing")
-        if not all(map(math.isfinite, values)):
-            raise ValueError("sweep_values must be finite")
         object.__setattr__(self, "sweep_values", values)
+        self.row_params()  # SystemParams rejects a floor that is negative or not finite
         n = self.base.n_subcarriers  # no gain exceeds N_c under empirical normalization
         for snr_db in (self.radar_snr_db, self.comm_snr_db):
             if not math.isfinite(_linear_snr(snr_db) * n):
@@ -64,6 +63,10 @@ class SweepConfig:
         object.__setattr__(self, "schemes", schemes)
         if self.normalization not in ("empirical", "ensemble"):
             raise ValueError("normalization must be 'empirical' or 'ensemble'")
+
+    def row_params(self) -> list[SystemParams]:
+        """The system parameters of each sweep value, in order."""
+        return [replace(self.base, **{self.sweep_variable: v}) for v in self.sweep_values]
 
 
 @dataclass(frozen=True)
@@ -107,7 +110,7 @@ def sample_channel(
     vector equals the nominal linear SNR exactly; ``ensemble`` scales the
     raw unit-variance gains instead, so only the ensemble average matches.
     Any other ``normalization``, or an SNR in dB that is not finite or
-    whose linear value overflows, raises ``ValueError``.
+    that overflows on some subcarrier, raises ``ValueError``.
     """
     if normalization not in ("empirical", "ensemble"):
         raise ValueError("normalization must be 'empirical' or 'ensemble'")
@@ -124,11 +127,10 @@ def sample_channel(
             power = power / np.mean(power)
         return linear * power
 
-    return ChannelRealization(
-        h=h,
-        radar_snr=snr_vector(g_radar, radar_linear),
-        comm_snr=snr_vector(g_comm, comm_linear),
-    )
+    # an overflow reads inf, which ChannelRealization rejects
+    with np.errstate(over="ignore"):
+        radar_snr, comm_snr = snr_vector(g_radar, radar_linear), snr_vector(g_comm, comm_linear)
+    return ChannelRealization(h=h, radar_snr=radar_snr, comm_snr=comm_snr)
 
 
 def trial_seed(master_seed: int, trial: int) -> int:
@@ -140,14 +142,18 @@ def trial_seed(master_seed: int, trial: int) -> int:
 def _solve_rows(config: SweepConfig, trial: int) -> list[SweepRow]:
     """One trial's rows: each scheme solves all sweep values as one batch."""
     seed = trial_seed(config.master_seed, trial)
-    chan = sample_channel(
-        seed, config.base, config.radar_snr_db, config.comm_snr_db, config.normalization
-    )
-    batch = [replace(config.base, **{config.sweep_variable: v}) for v in config.sweep_values]
-    solved = {
-        scheme: (_solve_batch if scheme == "op" else _eq_solve_batch)(batch, chan)
-        for scheme in config.schemes
-    }
+    batch = config.row_params()
+    try:
+        chan = sample_channel(
+            seed, config.base, config.radar_snr_db, config.comm_snr_db, config.normalization
+        )
+    except ValueError as exc:  # a channel that cannot be drawn fails every row
+        solved = {scheme: [exc] * len(batch) for scheme in config.schemes}
+    else:
+        solved = {
+            scheme: (_solve_batch if scheme == "op" else _eq_solve_batch)(batch, chan)
+            for scheme in config.schemes
+        }
     rows = []
     for i, (value, params) in enumerate(zip(config.sweep_values, batch)):
         for scheme in config.schemes:

@@ -184,17 +184,15 @@ class Link:
         L_k) / k)``, which puts the k-th above water and the (k+1)-th not
         exactly when ``theta_k <= t < theta_(k+1)``, a nondecreasing sequence
         from ``theta_1 = 0``.  The floor's multiplier is ``a ln 2 / scale``.
-        A level past ``2**1000`` reads ``inf``, the multiplier too.
+        A level past ``2**1000``, or none (no positive SNR, ``k = 0``), is
+        unreachable: the multiplier and every power read ``inf``.
         """
         log_sum, theta, _, _, inv = self._sorted
-        if not log_sum.size:
-            raise SolverError("rate floor demanded over an all-zero SNR vector")
         target = floor / (self.scale * tau2)
         # below theta_1 = 0 no level is consistent: all subcarriers count as active
         k = int(np.searchsorted(theta, target, side="right")) or log_sum.size
-        exponent = (target - float(log_sum[k - 1])) / k
-        if exponent > 1000.0:
-            return np.where(self.snr > 0, math.inf, 0.0), math.inf
+        if not k or (exponent := (target - float(log_sum[k - 1])) / k) > 1000.0:
+            return np.full_like(self.snr, math.inf), math.inf
         level = 2.0**exponent
         return np.maximum(level - inv, 0.0), level * LN2 / self.scale
 
@@ -215,11 +213,12 @@ class Link:
         a step under 1e-8, the rounding-level step up from a gap just below
         zero included; ``MAX_ITER`` caps the steps.  A start at which ``e^u``
         or ``e^u s`` overflows means that no finite energy meets the floor:
-        the level is then ``inf``.  A target below ``S`` times the smallest
-        normal float, a zero floor's included, has a level below the float
-        range: it reads 0, with slope 0.  Implicit differentiation of ``F(u)
-        = target`` gives the slope ``x (1 - target / F'(u))``, with ``F'``
-        taken at the returned level.
+        the level is then ``inf``, with slope ``-inf``, as it is for a
+        positive target on a link with no positive SNR.  A target below
+        ``S`` times the smallest normal float, a zero floor's included, has a
+        level below the float range: it reads 0, with slope 0.  Implicit
+        differentiation of ``F(u) = target`` gives the slope ``x (1 - target
+        / F'(u))``, with ``F'`` taken at the returned level.
 
         ``floor`` and ``tau2`` may be arrays: every element of their
         broadcast runs the same iteration at once and stops on its own rule,
@@ -229,9 +228,9 @@ class Link:
         target = floor * LN2 / self.scale / np.asarray(tau2, dtype=float)
         shape = np.shape(target)
         if not s.size:
-            if np.any(target > 0.0):
-                raise SolverError("rate floor demanded over an all-zero SNR vector")
-            return np.zeros(shape)[()], np.zeros(shape)[()]
+            unreachable = target > 0.0
+            gamma = np.where(unreachable, math.inf, 0.0)
+            return gamma[()], np.where(unreachable, -math.inf, 0.0)[()]
         target = np.reshape(target, -1)
         below = target < _TINY * total
         # the iteration runs on a stand-in where the level reads 0
@@ -329,19 +328,19 @@ def _inner_steps(
     tol_c = DUAL_TOL * max(1.0, r_c)
 
     # an infinite multiplier means no finite profile meets that floor: its
-    # result is returned with infinite bits on both links
+    # all-inf profile gets infinite bits on both links (inf * 0 SNR is NaN)
     lam_r1 = lam_c1 = 0.0
     if r_r > 0.0:
         x, lam_r1 = radar.fill(r_r, tau2)
         rate = comm.bits(x, tau2) if lam_r1 < math.inf else math.inf
         if rate >= r_c - tol_c:
-            mi = radar.bits(x, tau2)
+            mi = radar.bits(x, tau2) if lam_r1 < math.inf else math.inf
             return _inner_result(tau2 * x, lam_r1, 0.0, mi, rate, tau2, params, "mi")
     if r_c > 0.0:
         x, lam_c1 = comm.fill(r_c, tau2)
         mi = radar.bits(x, tau2) if lam_c1 < math.inf else math.inf
         if mi >= r_r - tol_r:
-            rate = comm.bits(x, tau2)
+            rate = comm.bits(x, tau2) if lam_c1 < math.inf else math.inf
             return _inner_result(tau2 * x, 0.0, lam_c1, mi, rate, tau2, params, "rate")
 
     lam_r, lam_c, gamma, mi, rate = yield from _both_floor_multipliers(

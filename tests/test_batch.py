@@ -77,17 +77,19 @@ def test_grid_rows_equal_their_single_solves(n):
     assert {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE, SolveStatus.ZERO_DEMAND} <= statuses
 
 
-def test_rows_that_raise_alone_raise_in_the_batch():
-    # a positive MI floor over an all-zero radar SNR vector raises alone;
-    # the rows that ask nothing of the radar link still solve
+def test_rows_on_an_all_zero_link_are_infeasible_alone_and_in_the_batch():
+    # no finite energy meets a positive MI floor over an all-zero radar SNR
+    # vector: infinite demand, infeasible; the rows that ask nothing of the
+    # radar link still solve
     params = make_params(n_subcarriers=3, rate_floor=30.0)
     chan = ChannelRealization(h=[1.0, 0.5], radar_snr=[0.0, 0.0, 0.0], comm_snr=[5.0, 2.0, 9.0])
     rows = [replace(params, mi_floor=m) for m in (0.0, 10.0, 0.0, 20.0)]
+    optimal, infeasible = SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE
     for single, batch in SCHEMES:
         got = batch(rows, chan)
-        assert [isinstance(g, SolverError) for g in got] == [False, True, False, True]
+        assert [g.status for g in got] == [optimal, infeasible, optimal, infeasible]
         for params_row, row in zip(rows, got):
-            assert_same_row(row, alone(single, params_row, chan))
+            assert_same_row(row, single(params_row, chan))
 
 
 floors = st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=4.0).map(lambda e: 10.0**e))

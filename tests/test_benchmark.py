@@ -124,10 +124,10 @@ class TestEqSolve:
 
 
 def snr_vector(data, nc):
-    """``nc`` SNRs from 1e-6 to 1e6, a drawn share of them (all but one at
+    """``nc`` SNRs from 1e-6 to 1e6, a drawn share of them (all of them at
     most) set to zero at drawn positions."""
     snr = 10.0 ** np.array(data.draw(st.lists(st.floats(-6.0, 6.0), min_size=nc, max_size=nc)))
-    zeros = round(data.draw(st.floats(0.0, 1.0)) * (nc - 1))
+    zeros = round(data.draw(st.floats(0.0, 1.0)) * nc)
     snr[data.draw(st.permutations(range(nc)))[:zeros]] = 0.0
     return snr
 
@@ -151,16 +151,20 @@ def test_solve_dominates_eq_on_zero_snr_subcarriers_and_short_harvests(
     certifies.
 
     Zero SNRs put subcarriers with one gain or both at zero in the profile,
-    and floors down to 1e-3 bits on SNRs up to 1e6 put the time split near
-    ``tau2 = T``.  Positive floors stay at or above 1e-3 bits, away from the
-    known limit of the multiplier search (floors near 1e-9 bits on SNRs
-    near 1e-4)."""
+    and a positive floor over an all-zero SNR vector makes both schemes
+    infeasible (infinite demand).  Floors down to 1e-3 bits on SNRs up to
+    1e6 put the time split near ``tau2 = T``.  Positive floors stay at or
+    above 1e-3 bits, away from the known limit of the multiplier search
+    (floors near 1e-9 bits on SNRs near 1e-4)."""
     assume(mi_floor > 0.0 or rate_floor > 0.0)
     params = make_params(n_subcarriers=nc, n_antennas=3, mi_floor=mi_floor, rate_floor=rate_floor)
     h = np.random.default_rng(seed).standard_normal((3, 2)) @ np.array([1.0, 1j])
     chan = ChannelRealization(h=h, radar_snr=snr_vector(data, nc), comm_snr=snr_vector(data, nc))
     op = solve(params, chan)
     eq = eq_solve(params, chan)
+    floors = ((mi_floor, chan.radar_snr), (rate_floor, chan.comm_snr))
+    if any(floor > 0.0 and not snr.any() for floor, snr in floors):
+        assert op.status is eq.status is SolveStatus.INFEASIBLE
     if eq.status is SolveStatus.OPTIMAL:
         assert op.status is SolveStatus.OPTIMAL
         assert op.energy <= eq.energy * (1 + 1e-6)
@@ -353,6 +357,21 @@ class TestFeasibilityFrontier:
         reach = feasibility_frontier(params, chan, "rate")
         frontier = feasibility_frontier(replace(params, rate_floor=reach), chan, "mi")
         assert 0.0 <= frontier <= free
+
+    @pytest.mark.xfail(
+        raises=SolverError,
+        reason="known limit: at an other floor equal to its reach, an inner allocation of the "
+        "binding frontier ends in a multiplier search that does not converge",
+    )
+    def test_frontier_where_the_other_floor_sits_at_its_reach(self):
+        # solve is optimal at a rate floor of 1.0 bit with this MI floor, so
+        # the rate frontier is at least about that much
+        params = make_params(n_subcarriers=16)
+        chan = sample_channel(86, params, 3.990816186715037, -2.6736028294699157)
+        reach = feasibility_frontier(params, chan, "mi", "op")  # 130.785 bits
+        params = replace(params, mi_floor=reach)
+        assert solve(replace(params, rate_floor=1.0), chan).status is SolveStatus.OPTIMAL
+        assert feasibility_frontier(params, chan, "rate", "op") >= 0.8
 
 
 @settings(max_examples=50, derandomize=True, deadline=None)

@@ -46,6 +46,13 @@ class TestSolveCommand:
         path = write_config(tmp_path, {"mi_floor": 1e7})
         assert main(["solve", "--config", path]) == EXIT_INFEASIBLE
 
+    def test_empty_config_file_is_all_defaults(self, tmp_path, capsys):
+        # the default floors are 0
+        path = tmp_path / "empty.yaml"
+        path.write_text("")
+        assert main(["solve", "--config", str(path)]) == EXIT_OK
+        assert "zero_demand" in capsys.readouterr().out
+
     def test_solver_error_exits_2(self, tmp_path, capsys, monkeypatch):
         def fail(*args):
             raise solver.SolverError("multiplier search did not converge")
@@ -95,6 +102,9 @@ class TestConfigHandling:
             ("sweep", {"radar_snr_db": float("inf")}),
             ("solve", {"radar_snr_db": 4000.0}),
             ("sweep", {"radar_snr_db": 3080.0}),
+            # finite linear value that overflows on a subcarrier (N_c 128)
+            ("solve", {"n_subcarriers": 128, "radar_snr_db": 3080.0}),
+            ("sweep", {"sweep_values": [-1.0, 5.0]}),
         ],
     )
     def test_malformed_value_is_a_config_error_before_any_solve(
@@ -275,6 +285,44 @@ class TestOracleCheckCommand:
     def test_rejects_large_instance(self, tmp_path):
         path = write_config(tmp_path, {"n_subcarriers": 8})
         assert main(["oracle-check", "--config", path]) == EXIT_CONFIG
+
+
+class TestAllZeroLink:
+    """-4000 dB is a linear SNR of 0.0 on every subcarrier: no finite energy
+    meets a positive MI floor, and every command reads that as infeasible."""
+
+    ZERO_RADAR = {"radar_snr_db": -4000.0, "mi_floor": 5.0, "rate_floor": 5.0}
+
+    @pytest.mark.parametrize("command", ["solve", "certify"])
+    def test_positive_floor_exits_3(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, self.ZERO_RADAR)
+        assert main([command, "--config", path]) == EXIT_INFEASIBLE
+        out, err = capsys.readouterr()
+        assert "status       : infeasible" in out and err == ""
+
+    def test_oracle_agrees_on_infeasible(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.ZERO_RADAR)
+        assert main(["oracle-check", "--config", path]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "solver: infeasible" in out and "oracle: infeasible" in out
+
+    def test_sweep_rows_are_infeasible(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        path = write_config(
+            tmp_path,
+            {**self.ZERO_RADAR, "n_subcarriers": 4, "sweep_variable": "mi_floor",
+             "sweep_values": [0.0, 1.0], "trials": 1, "out": str(out)},
+        )
+        assert main(["sweep", "--config", path]) == EXIT_OK
+        with open(out) as fh:
+            rows = list(csv.DictReader(fh))
+        statuses = {(r["scheme"], float(r["sweep_value"])): r["status"] for r in rows}
+        assert statuses == {
+            ("op", 0.0): "optimal",
+            ("eq", 0.0): "optimal",
+            ("op", 1.0): "infeasible",
+            ("eq", 1.0): "infeasible",
+        }
 
 
 def test_calls_in_one_process_match_calls_in_separate_ones(tmp_path, capsys):

@@ -11,10 +11,20 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from wpirc import ChannelRealization, DualPair, comm_rate, inner_allocation, radar_mi
+from wpirc import (
+    ChannelRealization,
+    DualPair,
+    SolveStatus,
+    comm_rate,
+    eq_solve,
+    inner_allocation,
+    radar_mi,
+    solve,
+)
 from wpirc.sim import sample_channel
 from wpirc.solver import (
     DUAL_TOL,
+    SolverError,
     _gamma_profile,
     _kkt_residual,
     links,
@@ -80,6 +90,22 @@ def shape_instance(shape, seed):
         n_subcarriers=nc, n_antennas=nt, mi_floor=mi_floor, rate_floor=rate_floor
     )
     return params, sample_channel(seed, params, radar_db, comm_db)
+
+
+@pytest.mark.xfail(
+    raises=SolverError,
+    reason="known limit: floors near 1e-9 bits on SNRs near 1e-4, where the multiplier "
+    "search does not converge",
+)
+def test_floor_near_1e_9_bits_on_snrs_near_1e_4():
+    # eq_solve is optimal here, so the optimal scheme must be too, and no
+    # more costly
+    params = make_params(n_subcarriers=2, mi_floor=1.0, rate_floor=1e-9)
+    chan = ChannelRealization(h=[1.0, 0.5], radar_snr=[1.0, 10**5.5], comm_snr=[1e-4, 1e-4])
+    eq = eq_solve(params, chan)
+    assert eq.status is SolveStatus.OPTIMAL
+    op = solve(params, chan)
+    assert op.status is SolveStatus.OPTIMAL and op.energy <= eq.energy
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))

@@ -51,6 +51,13 @@ class TestSampleChannel:
         with pytest.raises(ValueError, match="finite"):
             sample_channel(0, make_params(), *snr_db)
 
+    @pytest.mark.parametrize("normalization", ["empirical", "ensemble"])
+    def test_snr_overflowing_on_a_subcarrier_rejected(self, normalization):
+        # 10^308 is finite, but not times the largest of 128 gains
+        params = make_params(n_subcarriers=128)
+        with pytest.raises(ValueError, match="finite"):
+            sample_channel(0, params, 3080.0, 10.0, normalization)
+
     def test_h_variance_law_of_large_numbers(self):
         # ~1e5 gain samples across many draws; per-entry variance is 0.2
         params = make_params(n_subcarriers=1, n_antennas=50)
@@ -151,6 +158,31 @@ class TestRunSweep:
             sol = (solve if row.scheme == "op" else eq_solve)(params, chan)
             assert (row.status, row.energy, row.tau2) == (sol.status.value, sol.energy, sol.tau2)
 
+    def test_trial_whose_channel_overflows_writes_error_rows(self, caplog):
+        # SweepConfig bounds the linear SNR times N_c, which covers every
+        # gain only under empirical normalization; an ensemble gain above
+        # about 1.14 overflows 3082 dB on one subcarrier
+        cfg = self.small_config(
+            base=make_params(n_subcarriers=1, n_antennas=2, rate_floor=5.0),
+            radar_snr_db=3082.0,
+            trials=6,
+            normalization="ensemble",
+        )
+        with caplog.at_level(logging.ERROR, logger="wpirc.sim"):
+            rows = run_sweep(cfg)
+        failed = set()
+        for trial in range(cfg.trials):
+            seed = trial_seed(cfg.master_seed, trial)
+            try:
+                sample_channel(seed, cfg.base, 3082.0, 10.0, "ensemble")
+            except ValueError:
+                failed.add(trial)
+        assert failed and len(failed) < cfg.trials
+        for row in rows:
+            assert (row.status == "error") == (row.trial in failed)
+        assert all("channel fields must be finite" in r.getMessage() for r in caplog.records)
+        assert len(caplog.records) == len(failed) * 6  # 3 sweep values, 2 schemes
+
     def test_rejects_unsorted_sweep_values(self):
         with pytest.raises(ValueError):
             self.small_config(sweep_values=(30.0, 10.0))
@@ -175,6 +207,7 @@ class TestRunSweep:
             (dict(trials=0), "trials must be positive"),
             (dict(schemes=()), "schemes must be"),
             (dict(schemes=("op", "opt")), "schemes must be"),
+            (dict(sweep_values=(-1.0, 5.0)), "rate floors must be nonnegative"),
         ],
     )
     def test_rejects_invalid_values(self, bad, match):

@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -323,8 +323,6 @@ edge_floors = st.floats(min_value=-4.0, max_value=3.0).map(lambda e: 0.0 if e < 
 def test_homogeneity_slope_matches_the_envelope_slope(data, n, mi_floor, rate_floor, tau2_exp):
     v = np.array(data.draw(st.lists(edge_snrs, min_size=n, max_size=n)))
     w = np.array(data.draw(st.lists(edge_snrs, min_size=n, max_size=n)))
-    # a positive floor over an all-zero SNR vector raises
-    assume((v.any() or mi_floor == 0.0) and (w.any() or rate_floor == 0.0))
     params = make_params(n_subcarriers=n, mi_floor=mi_floor, rate_floor=rate_floor)
     chan = ChannelRealization(h=[1.0, 1.0], radar_snr=v, comm_snr=w)
     tau2 = T_TOTAL * 10.0**tau2_exp * (1 - 1e-9)
@@ -457,19 +455,29 @@ def test_level_over_an_array_matches_each_scalar_call(rng, n):
         assert slope.tolist() == [d for _, d in one_by_one]
 
 
-def test_unreachable_equal_power_floor_is_infinite_demand():
+def unreachable_mi_floor(case):
+    """An MI floor of 500 bits that no finite energy meets, and the time
+    split to probe: at ``1e-12 T`` its water level passes the float range,
+    and over an all-zero radar SNR vector no level meets it at all."""
     params, chan = shape_instance("frontier-n16", 0)
     params = replace(params, mi_floor=500.0)
-    gamma, slope = _common_gamma(chan.radar_snr, 500.0, 1e-12 * T_TOTAL, 2.5e5, True)
+    if case == "overflow":
+        return params, chan, 1e-12 * T_TOTAL
+    return params, replace(chan, radar_snr=np.zeros_like(chan.radar_snr)), 0.5 * T_TOTAL
+
+
+@pytest.mark.parametrize("case", ["overflow", "zero-link"])
+def test_unreachable_equal_power_floor_is_infinite_demand(case):
+    params, chan, t2 = unreachable_mi_floor(case)
+    gamma, slope = _common_gamma(chan.radar_snr, 500.0, t2, 2.5e5, True)
     assert gamma == math.inf and slope == -math.inf
-    total, slope = _equal_power_allocation(1e-12 * T_TOTAL, chan, params)
+    total, slope = _equal_power_allocation(t2, chan, params)
     assert np.all(total == math.inf) and slope == -math.inf
 
 
-def test_unreachable_inner_floor_has_infinite_demand_and_slope():
-    params, chan = shape_instance("frontier-n16", 0)
-    params = replace(params, mi_floor=500.0)
-    t2 = 1e-12 * T_TOTAL
+@pytest.mark.parametrize("case", ["overflow", "zero-link"])
+def test_unreachable_inner_floor_has_infinite_demand_and_slope(case):
+    params, chan, t2 = unreachable_mi_floor(case)
     res = inner_allocation(t2, chan, params)
     assert res.stationarity_residual == math.inf
     assert float(np.sum(res.gamma)) == math.inf
