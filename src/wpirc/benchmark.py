@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Callable, Generator, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .solver import (
     TIME_TOL,
     Link,
     SolverError,
-    _ask,
     _outer_steps,
     _run_batch,
     inner_allocation,
@@ -37,11 +36,11 @@ from .solver import (
 __all__ = ["eq_solve", "feasibility_frontier"]
 
 def _equal_power_kernel(chan: ChannelRealization, delta_f: float) -> Callable:
-    """The equal-power profile kernel on one channel: for a list of
-    ``(tau2, mi_floor, rate_floor)`` requests, one
-    :meth:`wpirc.solver.Link.level` call per link, split into one ``(gamma,
-    slope)`` answer per request, the profile at ``tau2`` and the slope of
-    its total.
+    """The equal-power scheme's answers to time-split probes on one channel:
+    for a list of ``(params, tau2, start)`` probes, one
+    :meth:`wpirc.solver.Link.level` call per link at each probe's floors,
+    split into one ``(gamma, slope, None)`` answer per probe, the profile at
+    ``tau2`` and the slope of its total.
 
     The common energy is the larger of the two floors' levels; where they
     tie, either floor's slope is a subgradient of the total.
@@ -49,11 +48,13 @@ def _equal_power_kernel(chan: ChannelRealization, delta_f: float) -> Callable:
     n = chan.n_subcarriers
     radar, comm = links(chan, delta_f)
 
-    def kernel(requests: list) -> list:
-        tau2, mi_floor, rate_floor = np.array(requests).T
+    def kernel(probes: list) -> list:
+        tau2, mi_floor, rate_floor = np.array(
+            [(t2, p.mi_floor, p.rate_floor) for p, t2, _ in probes]
+        ).T
         radar_levels = zip(*radar.level(mi_floor, tau2))
         levels = map(max, radar_levels, zip(*comm.level(rate_floor, tau2)))
-        return [(np.full(n, gamma), n * float(slope)) for gamma, slope in levels]
+        return [(np.full(n, gamma), n * float(slope), None) for gamma, slope in levels]
 
     return kernel
 
@@ -70,11 +71,7 @@ def eq_solve(
     allocator.
     """
     kernel = _equal_power_kernel(chan, params.delta_f)
-
-    def allocator(tau2: float) -> tuple[np.ndarray, float]:
-        return kernel([(tau2, params.mi_floor, params.rate_floor)])[0]
-
-    return solve_with_allocation(params, chan, allocator)
+    return solve_with_allocation(params, chan, lambda t2, start: kernel([(params, t2, start)])[0])
 
 
 def _eq_solve_batch(rows: list[SystemParams], chan: ChannelRealization) -> list:
@@ -83,14 +80,8 @@ def _eq_solve_batch(rows: list[SystemParams], chan: ChannelRealization) -> list:
     kernel call per round serves every row's time-split probe.  Returns
     each row's ``Solution`` or the exception its solve raised, equal to
     what :func:`eq_solve` returns or raises for that row alone."""
-
-    def search(params: SystemParams) -> Generator:
-        return _outer_steps(
-            params, chan, lambda t2: _ask((t2, params.mi_floor, params.rate_floor))
-        )
-
-    kernel = _equal_power_kernel(chan, rows[0].delta_f)
-    return _run_batch([search(p) for p in rows], kernel)
+    searches = [_outer_steps(params, chan) for params in rows]
+    return _run_batch(searches, _equal_power_kernel(chan, rows[0].delta_f))
 
 
 def _concave_max(f: Callable, total_time: float) -> float:

@@ -251,7 +251,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (solver.SolverError, solver.InfeasibleSignalError) as exc:
+    except solver.SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

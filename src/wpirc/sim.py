@@ -18,7 +18,7 @@ from .benchmark import _eq_solve_batch
 # bound here so that the layer trace (bench/layertrace.py) finds the sweep's
 # solvers under their names; the sweep solves through the batches below
 from .benchmark import eq_solve  # noqa: F401
-from .model import ChannelRealization, SolveStatus, SystemParams, comm_rate, radar_mi
+from .model import ChannelRealization, Solution, SolveStatus, SystemParams, comm_rate, radar_mi
 from .solver import _solve_batch
 from .solver import solve  # noqa: F401
 
@@ -148,7 +148,8 @@ def _solve_rows(config: SweepConfig, trial: int) -> list[SweepRow]:
             seed, config.base, config.radar_snr_db, config.comm_snr_db, config.normalization
         )
     except ValueError as exc:  # a channel that cannot be drawn fails every row
-        solved = {scheme: [exc] * len(batch) for scheme in config.schemes}
+        logger.error("trial %d (seed %d) has no channel: %s", trial, seed, exc, exc_info=exc)
+        solved = {scheme: [None] * len(batch) for scheme in config.schemes}
     else:
         solved = {
             scheme: (_solve_batch if scheme == "op" else _eq_solve_batch)(batch, chan)
@@ -165,13 +166,14 @@ def _solve_rows(config: SweepConfig, trial: int) -> list[SweepRow]:
                     scheme, trial, seed, config.sweep_variable, value, sol,
                     exc_info=sol,
                 )
-                status = SolveStatus.ERROR.value
-                energy = tau1 = tau2 = mi = rate = float("nan")
-            else:
+            if isinstance(sol, Solution):
                 status = sol.status.value
                 energy, tau1, tau2 = sol.energy, sol.tau1, sol.tau2
                 mi = radar_mi(sol.gamma, chan.radar_snr, sol.tau2, params.delta_f)
                 rate = comm_rate(sol.gamma, chan.comm_snr, sol.tau2, params.delta_f)
+            else:
+                status = SolveStatus.ERROR.value
+                energy = tau1 = tau2 = mi = rate = float("nan")
             rows.append(
                 SweepRow(
                     scheme=scheme,

@@ -34,7 +34,6 @@ __all__ = [
     "DualPair",
     "InnerResult",
     "SolverError",
-    "InfeasibleSignalError",
     "subcarrier_gamma",
     "inner_allocation",
     "inner_dual_value",
@@ -46,10 +45,6 @@ __all__ = [
 
 class SolverError(RuntimeError):
     """Raised when an iterative stage fails to converge."""
-
-
-class InfeasibleSignalError(ValueError):
-    """Raised when positive energy is demanded over a zero channel."""
 
 
 @dataclass(frozen=True)
@@ -590,7 +585,7 @@ def mrt_covariance(
         return np.zeros((nt, nt), dtype=complex), 0.0
     hn2 = float(np.real(np.vdot(h, h)))
     if hn2 == 0.0 or eta <= 0.0:
-        raise InfeasibleSignalError("positive demand with no harvestable channel")
+        raise ValueError("positive demand with no harvestable channel")
     q = (s / (eta * hn2 * hn2)) * np.outer(h, h.conj())
     q = 0.5 * (q + q.conj().T)
     return q, s / (eta * hn2)
@@ -599,46 +594,44 @@ def mrt_covariance(
 def solve_with_allocation(
     params: SystemParams,
     chan: ChannelRealization,
-    allocator: Callable[[float], tuple[np.ndarray, float]],
+    allocator: Callable[[float, object], tuple[np.ndarray, float, object]],
 ) -> Solution:
-    """Outer time-split search shared by the optimal and benchmark schemes.
+    """The time-split search :func:`_outer_steps` with one ``allocator``
+    call per probe.
 
-    ``allocator(tau2)`` returns ``(gamma, slope)``: the cheapest
-    per-subcarrier energy profile that the scheme allows at that
-    transmit-slot length, and ``slope = d sum(gamma) / d tau2`` (any
-    subgradient where the demand has a kink).  A floor that no finite
-    profile meets is reported as infinite demand.  The demand is convex in
-    ``tau2``, so ``phi(tau2) = sum(gamma) - eta ||h||^2 P (T - tau2)`` is
-    too, and the optimal slot is its largest root, found by the search
-    :func:`_outer_steps` with one allocator call per probe.  There the
-    maximum-ratio covariance meets the harvest constraint with equality
-    (:func:`_mrt_solution`).
+    ``allocator(tau2, start)`` returns ``(gamma, slope, start)``: the
+    cheapest per-subcarrier energy profile that the scheme allows at that
+    transmit-slot length, ``slope = d sum(gamma) / d tau2`` (any
+    subgradient where the demand has a kink), and what the next probe
+    starts from, for example the duals of the inner allocation.  The first
+    probe gets ``start=None``, every later one the ``start`` that the probe
+    before returned.  A floor that no finite profile meets is reported as
+    infinite demand.
     """
-    return _run(_outer_steps(params, chan, _ask), lambda ts: [allocator(t) for t in ts])
-
-
-def _ask(request):
-    """A search that yields ``request`` and returns the kernel's answer."""
-    return (yield request)
+    steps = _outer_steps(params, chan)
+    return _run(steps, lambda probes: [allocator(t2, start) for _, t2, start in probes])
 
 
 def _outer_steps(
-    params: SystemParams,
-    chan: ChannelRealization,
-    allocation: Callable[[float], Generator],
-) -> Generator[object, object, Solution]:
-    """:func:`solve_with_allocation` as a search: ``allocation(tau2)`` is
-    the search for ``(gamma, slope)`` at ``tau2``, and its requests pass
-    through.
+    params: SystemParams, chan: ChannelRealization
+) -> Generator[tuple, tuple, Solution]:
+    """The time-split search of one instance, shared by every scheme and
+    entry point: each probe yields ``(params, tau2, start)`` and receives
+    ``(gamma, slope, start)``, the scheme's allocation at ``tau2``
+    (:func:`solve_with_allocation`), with ``start`` passed on to the next
+    probe (``None`` at the first).
 
-    The slot is the largest root of the convex margin ``phi`` on (0, T),
-    with ``B = eta ||h||^2 P`` (:func:`wpirc.model.harvest_rate`).  Newton
-    steps start at ``T``, where the margin is positive.  Every tangent of a
-    convex function lies below it, so each tangent root sits at or right of
-    the largest root and the margin stays positive on the iterates until a
-    step crosses it.  A step shorter than ``TIME_TOL * T`` is lengthened to
-    that, which crosses a simple root, and the first iterate after a step
-    with a nonpositive margin is the slot, its probe the profile.
+    The demand ``sum(gamma)`` is convex in ``tau2``, so the margin ``phi(tau2)
+    = sum(gamma) - B (T - tau2)`` is too, with ``B = eta ||h||^2 P``
+    (:func:`wpirc.model.harvest_rate`), and the slot is its largest root on
+    (0, T).  Newton steps start at ``T``, where the margin is positive.
+    Every tangent of a convex function lies below it, so each tangent root
+    sits at or right of the largest root and the margin stays positive on
+    the iterates until a step crosses it.  A step shorter than ``TIME_TOL *
+    T`` is lengthened to that, which crosses a simple root, and the first
+    iterate after a step with a nonpositive margin is the slot, its probe
+    the profile; there the maximum-ratio covariance meets the harvest
+    constraint with equality (:func:`_mrt_solution`).
 
     The instance is infeasible when the margin is positive on all of (0,
     T].  Each such exit is a certificate, since the tangent at an iterate
@@ -659,8 +652,9 @@ def _outer_steps(
     total_time = params.total_time
     xtol = TIME_TOL * total_time
     tau2 = total_time
+    start = None
     for steps in range(MAX_ITER + 1):
-        gamma, slope = yield from allocation(tau2)
+        gamma, slope, start = yield params, tau2, start
         total = float(np.sum(gamma))
         margin = total - budget_rate * (total_time - tau2)
         if steps and margin <= 0.0:
@@ -714,20 +708,19 @@ def _run_batch(searches: list[Generator], kernel: Callable[[list], list]) -> lis
     """Drive searches in lockstep: each round, every search still running
     gets its answer and yields its next request, and one kernel call
     answers all of them.  Returns each search's value, or the exception it
-    raised.  A kernel call that raises is made again row by row, and its
-    exception is thrown into the search (``throw``) whose own request
-    raises it, so one row's failure leaves the others as they would run
-    alone."""
+    raised.  An exception that answers a request is thrown into that
+    search (``throw``) alone (:func:`_answers`), so one row's failure
+    leaves the others as they would run alone."""
     results: list = [None] * len(searches)
-    replies = [(i, None, None) for i in range(len(searches))]
+    replies = [(i, None) for i in range(len(searches))]
     while replies:
         asked = []
-        for i, answer, error in replies:
+        for i, answer in replies:
             try:
-                if error is None:
-                    request = searches[i].send(answer)
+                if isinstance(answer, Exception):
+                    request = searches[i].throw(answer)
                 else:
-                    request = searches[i].throw(error)
+                    request = searches[i].send(answer)
             except StopIteration as stop:
                 results[i] = stop.value
             except Exception as exc:
@@ -739,15 +732,17 @@ def _run_batch(searches: list[Generator], kernel: Callable[[list], list]) -> lis
 
 
 def _answers(asked: list, kernel: Callable[[list], list]) -> list:
-    """``(row, answer, error)`` for each ``(row, request)``, from one kernel
-    call, or from one call per row when the stacked call raises."""
+    """``(row, answer)`` for each ``(row, request)``, from one kernel call,
+    or from one call per row when the stacked call raises.  An exception is
+    the answer of its row alone, whether the kernel returns it for that
+    request or raises it on that row's own call."""
     try:
         answers = kernel([request for _, request in asked])
     except Exception as exc:
         if len(asked) == 1:
-            return [(asked[0][0], None, exc)]
+            return [(asked[0][0], exc)]
         return [reply for pair in asked for reply in _answers([pair], kernel)]
-    return [(i, answer, None) for (i, _), answer in zip(asked, answers)]
+    return [(i, answer) for (i, _), answer in zip(asked, answers)]
 
 
 def solve(
@@ -760,38 +755,33 @@ def solve(
     the previous ``tau2`` probe, and gives the slope of the demand for the
     outer Newton step.
     """
-    last = DualPair(0.0, 0.0)
 
-    def allocator(t2: float) -> tuple[np.ndarray, float]:
-        nonlocal last
-        res = inner_allocation(t2, chan, params, start=last)
-        last = res.duals
-        return res.gamma, res.slope
+    def allocator(t2: float, start: Optional[DualPair]) -> tuple:
+        res = inner_allocation(t2, chan, params, start)
+        return res.gamma, res.slope, res.duals
 
     return solve_with_allocation(params, chan, allocator)
 
 
 def _solve_batch(rows: list[SystemParams], chan: ChannelRealization) -> list:
     """:func:`solve` for rows that differ only in their floors, on one
-    channel, in lockstep (:func:`_run_batch`): each row runs the same
-    searches as alone, and one stacked kernel call per round serves every
-    row's multiplier search.  Returns each row's ``Solution`` or the
-    exception its solve raised, equal to what :func:`solve` returns or
-    raises for that row alone."""
+    channel, in lockstep (:func:`_run_batch`): each round of the rows'
+    time-split probes is answered by running their inner allocations in
+    lockstep too, one stacked kernel call per round serving every
+    multiplier search.  Returns each row's ``Solution`` or the exception
+    its solve raised, equal to what :func:`solve` returns or raises for
+    that row alone."""
     pair = links(chan, rows[0].delta_f)
+    kernel = _jacobian_kernel(chan, rows[0].delta_f)
 
-    def search(params: SystemParams) -> Generator:
-        last = DualPair(0.0, 0.0)
+    def allocations(probes: list) -> list:
+        inner = [_inner_steps(t2, pair, params, start) for params, t2, start in probes]
+        return [
+            res if isinstance(res, Exception) else (res.gamma, res.slope, res.duals)
+            for res in _run_batch(inner, kernel)
+        ]
 
-        def allocation(t2: float) -> Generator:
-            nonlocal last
-            res = yield from _inner_steps(t2, pair, params, last)
-            last = res.duals
-            return res.gamma, res.slope
-
-        return _outer_steps(params, chan, allocation)
-
-    return _run_batch([search(p) for p in rows], _jacobian_kernel(chan, rows[0].delta_f))
+    return _run_batch([_outer_steps(params, chan) for params in rows], allocations)
 
 
 def _validate_instance(params: SystemParams, chan: ChannelRealization) -> None:

@@ -1,8 +1,11 @@
 """A sweep trial's rows solved in lockstep equal the same rows solved alone.
 
-``_solve_batch`` and ``_eq_solve_batch`` run every row's own search and
-answer all their profile evaluations with one stacked kernel call per
-round, so each row must come out bit for bit as ``solve``/``eq_solve``
+Every entry point runs each row's own time-split search
+(``solver._outer_steps``).  ``_eq_solve_batch`` answers a round of the
+rows' probes with one stacked equal-power level call, and ``_solve_batch``
+with the probes' inner allocations, run in lockstep themselves under one
+stacked profile call per round; ``solve`` and ``eq_solve`` answer one probe
+at a time.  So each row must come out bit for bit as ``solve``/``eq_solve``
 give it, errors included.
 """
 import math
@@ -179,6 +182,26 @@ class TestRunBatch:
         assert _run_batch([search(2), search(-1), search(3)], kernel) == [4, "caught negative", 9]
         # the stacked call, then one call per row
         assert calls == [[2, -1, 3], [2], [-1], [3]]
+
+    def test_exception_returned_as_an_answer_is_thrown_into_its_search_only(self):
+        def search(x):
+            total = 0
+            for _ in range(2):
+                try:
+                    total += yield x
+                except SolverError as exc:
+                    return f"caught {exc}"
+            return total
+
+        calls = []
+
+        def kernel(requests):
+            calls.append(list(requests))
+            return [SolverError("diverged") if r < 0 else r * r for r in requests]
+
+        assert _run_batch([search(2), search(-1), search(3)], kernel) == [8, "caught diverged", 18]
+        # one call per round, no call row by row
+        assert calls == [[2, -1, 3], [2, 3]]
 
     def test_a_raising_search_leaves_the_others_running(self):
         def search(x):

@@ -181,7 +181,9 @@ class TestRunSweep:
         for row in rows:
             assert (row.status == "error") == (row.trial in failed)
         assert all("channel fields must be finite" in r.getMessage() for r in caplog.records)
-        assert len(caplog.records) == len(failed) * 6  # 3 sweep values, 2 schemes
+        # one record per trial, not one per row
+        assert len(caplog.records) == len(failed)
+        assert all(r.exc_info[0] is ValueError for r in caplog.records)
 
     def test_rejects_unsorted_sweep_values(self):
         with pytest.raises(ValueError):

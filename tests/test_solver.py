@@ -18,7 +18,6 @@ from wpirc import (
     subcarrier_gamma,
 )
 from wpirc.solver import (
-    InfeasibleSignalError,
     Link,
     inner_dual_value,
     solve_with_allocation,
@@ -242,7 +241,7 @@ class TestMrtCovariance:
         assert np.all(q == 0) and trace == 0.0
 
     def test_zero_channel_rejected(self):
-        with pytest.raises(InfeasibleSignalError):
+        with pytest.raises(ValueError, match="no harvestable channel"):
             mrt_covariance([0.0, 0.0], 1.0, 0.5)
 
 
@@ -329,20 +328,25 @@ class TestSolve:
         assert solve(base, boosted).energy <= e0 + 1e-15
 
     def test_allocator_runs_once_per_probe(self):
-        # the profile at the optimal tau2 is the root search's last probe
+        # the profile at the optimal tau2 is the root search's last probe,
+        # and each probe starts from what the probe before returned
         params = make_params(n_subcarriers=8, n_antennas=3, mi_floor=25.0, rate_floor=30.0)
         chan = sample_channel(1, params, 10.0, 10.0)
-        probes = []
+        probes, starts, returned = [], [], []
 
-        def allocator(t2):
+        def allocator(t2, start):
             probes.append(t2)
-            res = inner_allocation(t2, chan, params)
-            return res.gamma, res.slope
+            starts.append(start)
+            res = inner_allocation(t2, chan, params, start)
+            returned.append(res.duals)
+            return res.gamma, res.slope, res.duals
 
         sol = solve_with_allocation(params, chan, allocator)
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.tau2 in probes
-        assert len(probes) == len(set(probes))
+        assert len(probes) == len(set(probes)) >= 2
+        assert starts[0] is None
+        assert all(got is sent for got, sent in zip(starts[1:], returned))
 
     def test_inner_demand_nonincreasing_in_tau2(self):
         params = make_params(n_subcarriers=4, mi_floor=20.0, rate_floor=30.0)

@@ -45,10 +45,11 @@ def _common_gamma(snr, floor, tau2, delta_f, half):
     return Link(snr, (0.5 if half else 1.0) * delta_f).level(floor, tau2)
 
 
-def _equal_power_allocation(tau2, chan, params):
-    """Equal-power profile at ``tau2`` and the slope of its total."""
+def _equal_power_allocation(tau2, chan, params, start=None):
+    """Equal-power profile at ``tau2``, the slope of its total, and the
+    next probe's start (always None)."""
     kernel = _equal_power_kernel(chan, params.delta_f)
-    return kernel([(tau2, params.mi_floor, params.rate_floor)])[0]
+    return kernel([(params, tau2, start)])[0]
 
 
 XTOL = TIME_TOL * T_TOTAL
@@ -231,18 +232,18 @@ def test_edge_cases_match_old_search(case, scheme):
 
 
 def op_allocator(params, chan, calls):
-    def allocator(t2):
+    def allocator(t2, start):
         calls.append(t2)
-        res = inner_allocation(t2, chan, params)
-        return res.gamma, res.slope
+        res = inner_allocation(t2, chan, params, start)
+        return res.gamma, res.slope, res.duals
 
     return allocator
 
 
 def eq_allocator(params, chan, calls):
-    def allocator(t2):
+    def allocator(t2, start):
         calls.append(t2)
-        return _equal_power_allocation(t2, chan, params)
+        return _equal_power_allocation(t2, chan, params, start)
 
     return allocator
 
@@ -350,7 +351,7 @@ def test_equal_power_slope_on_both_sides_of_the_floor_tie():
     slopes = []
     for t2 in (0.95 * tie, 1.05 * tie):
         (g_r, _), (g_c, _) = levels(t2)
-        gamma, slope = _equal_power_allocation(t2, chan, params)
+        gamma, slope, _ = _equal_power_allocation(t2, chan, params)
         assert gamma[0] == max(g_r, g_c)
         fd = central_difference(
             lambda t: float(np.sum(_equal_power_allocation(t, chan, params)[0])),
@@ -360,7 +361,7 @@ def test_equal_power_slope_on_both_sides_of_the_floor_tie():
         slopes.append((g_r > g_c, slope))
     assert slopes[0][0] != slopes[1][0]  # the binding floor changes at the tie
     # at the tie the slope is a subgradient: between the one-sided slopes
-    _, at_tie = _equal_power_allocation(tie, chan, params)
+    _, at_tie, _ = _equal_power_allocation(tie, chan, params)
     one_sided = [params.n_subcarriers * lv[1] for lv in levels(tie)]
     assert min(one_sided) <= at_tie <= max(one_sided)
 
@@ -471,7 +472,7 @@ def test_unreachable_equal_power_floor_is_infinite_demand(case):
     params, chan, t2 = unreachable_mi_floor(case)
     gamma, slope = _common_gamma(chan.radar_snr, 500.0, t2, 2.5e5, True)
     assert gamma == math.inf and slope == -math.inf
-    total, slope = _equal_power_allocation(t2, chan, params)
+    total, slope, _ = _equal_power_allocation(t2, chan, params)
     assert np.all(total == math.inf) and slope == -math.inf
 
 
