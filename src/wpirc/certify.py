@@ -162,9 +162,8 @@ def equal_power_demand_bound(
     two floors' equal-power levels, each found for the whole grid at once
     by the Newton iteration of :meth:`wpirc.solver.Link.level`.  The
     cheapest budget-feasible equal-power point bounds the optimum, and so
-    each gamma coordinate; it is the natural ``gamma_max`` for
-    :func:`brute_force_oracle`.  Returns ``inf`` when no equal-power point
-    is feasible, a positive floor over an all-zero SNR vector included.
+    each gamma coordinate.  Returns ``inf`` when no equal-power point is
+    feasible, a positive floor over an all-zero SNR vector included.
     """
     total_time = params.total_time
     tau2 = np.linspace(total_time / tau2_steps, total_time, tau2_steps)
@@ -184,13 +183,27 @@ ORACLE_BLOCK = 5000
 class OracleGrid:
     tau2_steps: int = 200
     gamma_steps: int = 200
-    gamma_max: float = 1.0  # joules, upper edge of every gamma axis
+    gamma_max: float | None = None  # joules, upper edge of every gamma axis; see gamma_edge
 
     def __post_init__(self) -> None:
         if self.tau2_steps < 1 or self.gamma_steps < 1:
             raise ValueError("tau2_steps and gamma_steps must be at least 1")
-        if not (math.isfinite(self.gamma_max) and self.gamma_max >= 0.0):
+        if self.gamma_max is not None and not 0.0 <= self.gamma_max < math.inf:
             raise ValueError("gamma_max must be finite and nonnegative")
+
+    def gamma_edge(self, params: SystemParams, chan: ChannelRealization) -> float:
+        """The upper edge of the instance's gamma axes: ``gamma_max`` when set.
+
+        Otherwise the equal-power demand bound on this grid's time steps,
+        widened by 1e-9 relative: at N_c = 1 the bound is the exact demand,
+        and the one grid point there can miss the floors by rounding.  Where
+        no equal-power point is feasible, the most energy the budget can
+        harvest.
+        """
+        if self.gamma_max is not None:
+            return self.gamma_max
+        edge = equal_power_demand_bound(params, chan, self.tau2_steps) * (1.0 + 1e-9)
+        return edge if math.isfinite(edge) else harvest_rate(params, chan) * params.total_time
 
 
 def _first_meeting(
@@ -225,10 +238,11 @@ def brute_force_oracle(
 ) -> Solution:
     """Exact grid search over the time split and subcarrier energies.
 
-    Returns the point of ``tau2_axis x g_axis ** N_c`` with the least total
-    energy that meets both floors and fits the harvest budget, ties going
-    to the first in C order (earliest ``tau2``, then the gamma indices):
-    bit for bit the point a dense search of every grid point returns.
+    Returns the point of ``tau2_axis x g_axis ** N_c``, ``g_axis`` ending
+    at :meth:`OracleGrid.gamma_edge`, with the least total energy that
+    meets both floors and fits the harvest budget, ties going to the first
+    in C order (earliest ``tau2``, then the gamma indices): bit for bit the
+    point a dense search of every grid point returns.
 
     It visits rows, not points.  With the first ``N_c - 1`` gamma indices
     fixed, each floor's test ``fl(prefix + term[k]) >= floor`` is monotone
@@ -270,11 +284,12 @@ def brute_force_oracle(
 
     budget_rate = harvest_rate(params, chan)
     total_time = params.total_time
-    g_axis = np.linspace(0.0, grid.gamma_max, grid.gamma_steps)
+    g_max = grid.gamma_edge(params, chan)
+    g_axis = np.linspace(0.0, g_max, grid.gamma_steps)
     tau2_axis = np.linspace(total_time / grid.tau2_steps, total_time, grid.tau2_steps)
     if not (np.diff(g_axis) >= 0.0).all():
         raise SolverError("oracle gamma axis is not nondecreasing")
-    g_step = grid.gamma_max / (n - 1) if n > 1 else 0.0
+    g_step = g_max / (n - 1) if n > 1 else 0.0
 
     def prefix(tables: list[np.ndarray]) -> np.ndarray:
         """Sum of the first N_c - 1 ``(B, n)`` tables over their C-order rows.

@@ -10,14 +10,13 @@ import argparse
 import functools
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
 import yaml
 
 from . import benchmark, certify, sim, solver
-from .model import SolveStatus, SystemParams, comm_rate, harvest_rate, radar_mi
+from .model import SolveStatus, SystemParams, comm_rate, radar_mi
 
 __all__ = ["main", "run"]
 
@@ -52,8 +51,7 @@ DEFAULTS: dict = {
     # oracle cross-check
     "oracle_tau2_steps": 200,
     "oracle_gamma_steps": 200,
-    # default: certify.equal_power_demand_bound widened by 1e-9 relative, or
-    # the maximum harvestable energy where that bound is inf
+    # default: certify.OracleGrid.gamma_edge derives it per instance
     "oracle_gamma_max": None,
     "oracle_rel_tol": 0.02,
 }
@@ -182,7 +180,7 @@ def _cmd_oracle_check(cfg: dict) -> int:
         grid = certify.OracleGrid(
             tau2_steps=int(cfg["oracle_tau2_steps"]),
             gamma_steps=int(cfg["oracle_gamma_steps"]),
-            gamma_max=0.0 if gamma_max is None else float(gamma_max),
+            gamma_max=None if gamma_max is None else float(gamma_max),
         )
     with _invalid("oracle_rel_tol"):
         rel_tol = float(cfg["oracle_rel_tol"])
@@ -190,14 +188,6 @@ def _cmd_oracle_check(cfg: dict) -> int:
             raise ValueError(f"{rel_tol} is not a nonnegative tolerance")
     chan = _channel(cfg, params)
     sol = solver.solve(params, chan)
-    if gamma_max is None:
-        # widened by 1e-9 relative: at N_c = 1 the bound is the exact demand,
-        # and the one grid point there can miss the floors by rounding
-        gamma_max = certify.equal_power_demand_bound(params, chan, tau2_steps=grid.tau2_steps)
-        gamma_max *= 1.0 + 1e-9
-        if not np.isfinite(gamma_max):
-            gamma_max = harvest_rate(params, chan) * params.total_time
-        grid = replace(grid, gamma_max=float(gamma_max))
     ref = certify.brute_force_oracle(params, chan, grid)
     print(f"solver: {sol.status.value}, energy {sol.energy:.6e} J")
     print(f"oracle: {ref.status.value}, energy {ref.energy:.6e} J")

@@ -232,6 +232,22 @@ class TestFeasibilityFrontier:
         assert frontier == pytest.approx(213.9, abs=0.05)
         assert calls
 
+    @pytest.mark.parametrize("scheme", ["op", "eq"])
+    def test_search_that_runs_out_of_evaluations_raises(self, monkeypatch, scheme):
+        params, chans = frontier_pool("mi")
+        monkeypatch.setattr(wpirc.benchmark, "MAX_ITER", 3)
+        with pytest.raises(SolverError, match="frontier search over the time split did not converge"):
+            feasibility_frontier(params, chans[0], "mi", scheme)
+
+    def test_binding_newton_that_runs_out_of_steps_raises(self, monkeypatch):
+        # at the first probe, tau2 = T/2, the data link's budget water-filling
+        # misses the 200-bit MI floor, which the whole budget can still meet
+        params = make_params(n_subcarriers=16, n_antennas=3, mi_floor=200.0)
+        chan = sample_channel(0, params, 15.0, 10.0)
+        monkeypatch.setattr(wpirc.benchmark, "MAX_ITER", 1)
+        with pytest.raises(SolverError, match="frontier with both floors binding did not converge"):
+            feasibility_frontier(params, chan, "rate", "op")
+
     def test_no_solve_where_the_other_floor_does_not_bind(self, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("frontier called a solver")

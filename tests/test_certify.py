@@ -138,12 +138,9 @@ def criterion_1_instances():
 
 
 def oracle_grid(params, chan, tau2_steps=200, gamma_steps=200):
-    """The CLI's default grid: the equal-power bound, else the harvest."""
-    gmax = equal_power_demand_bound(params, chan, tau2_steps=tau2_steps)
-    if not np.isfinite(gmax):
-        hn2 = float(np.vdot(chan.h, chan.h).real)
-        gmax = params.efficiency * hn2 * params.power_cap * params.total_time
-    return OracleGrid(tau2_steps=tau2_steps, gamma_steps=gamma_steps, gamma_max=gmax)
+    """The default grid, with the instance's gamma edge fixed in it."""
+    grid = OracleGrid(tau2_steps, gamma_steps)
+    return replace(grid, gamma_max=grid.gamma_edge(params, chan))
 
 
 def optimal_solution_for(h, demand, params, tau1=5e-5, tau2=5e-5):
@@ -407,6 +404,16 @@ class TestBruteForceOracle:
             assert np.max(np.abs(sol.beam_vector - ref)) <= 1e-12 * np.linalg.norm(ref)
         assert n_optimal >= 40
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_default_grid_is_optimal_at_one_subcarrier(self, seed):
+        # the equal-power bound is the exact demand of one subcarrier: the
+        # default edge widens it, so the grid point there meets the floors
+        params = make_params(n_subcarriers=1, n_antennas=5, mi_floor=10.0, rate_floor=12.0)
+        chan = sample_channel(seed, params, 10.0, 10.0)
+        assert solve(params, chan).status is SolveStatus.OPTIMAL
+        ref = brute_force_oracle(params, chan, OracleGrid(200, 200))
+        assert ref.status is SolveStatus.OPTIMAL
+
     def test_too_many_subcarriers_rejected(self):
         params = make_params(n_subcarriers=4, mi_floor=1.0)
         chan = ChannelRealization(h=[1, 1], radar_snr=np.ones(4), comm_snr=np.ones(4))
@@ -478,10 +485,7 @@ class TestOracleMatchesDenseSearch:
         params = replace(params, **{zero: 0.0})
         for seed in range(3):
             chan = sample_channel(seed, params, 10.0, 10.0)
-            # room above the equal-power bound, which is the exact demand of
-            # a single subcarrier and may miss its floor by rounding
             grid = oracle_grid(params, chan, 40, 40)
-            grid = replace(grid, gamma_max=2.0 * grid.gamma_max)
             assert assert_matches_dense(params, chan, grid).status is SolveStatus.OPTIMAL
 
     def test_infeasible_floor(self):
@@ -673,6 +677,20 @@ class TestOracleGrid:
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             OracleGrid(**bad)
+
+    def test_gamma_edge(self):
+        params, chan = next(criterion_1_instances())
+        assert OracleGrid().gamma_max is None
+        assert OracleGrid(gamma_max=2e-3).gamma_edge(params, chan) == 2e-3
+        bound = equal_power_demand_bound(params, chan, tau2_steps=40)
+        assert OracleGrid(40).gamma_edge(params, chan) == bound * (1.0 + 1e-9)
+
+    def test_gamma_edge_without_an_equal_power_point_is_the_harvest(self):
+        params = make_params(n_subcarriers=2, mi_floor=5e4)
+        chan = sample_channel(1, params, 10.0, 10.0)
+        assert equal_power_demand_bound(params, chan) == math.inf
+        harvest = params.efficiency * float(np.vdot(chan.h, chan.h).real) * params.power_cap
+        assert OracleGrid().gamma_edge(params, chan) == harvest * params.total_time
 
     def test_smallest_grid(self):
         grid = OracleGrid(tau2_steps=1, gamma_steps=1, gamma_max=0.0)

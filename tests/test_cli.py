@@ -240,15 +240,15 @@ class TestOracleCheckCommand:
     ):
         # no equal-power point is feasible, so the bound is inf and the
         # oracle's gamma axes end at the most energy the budget can harvest
-        oracle, gamma_maxes = certify.brute_force_oracle, []
+        gamma_edge, gamma_maxes = certify.OracleGrid.gamma_edge, []
 
-        def spy(params, chan, grid):
+        def spy(grid, params, chan):
             hn2 = float(np.real(np.vdot(chan.h, chan.h)))
             harvest = params.efficiency * hn2 * params.power_cap * params.total_time
-            gamma_maxes.append((grid.gamma_max, harvest))
-            return oracle(params, chan, grid)
+            gamma_maxes.append((gamma_edge(grid, params, chan), harvest))
+            return gamma_maxes[-1][0]
 
-        monkeypatch.setattr(certify, "brute_force_oracle", spy)
+        monkeypatch.setattr(certify.OracleGrid, "gamma_edge", spy)
         path = write_config(tmp_path, {"mi_floor": 5e4})
         assert main(["oracle-check", "--config", path]) == EXIT_OK
         out = capsys.readouterr().out

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import wpirc.solver
 from wpirc import (
     ChannelRealization,
     DualPair,
@@ -131,6 +132,21 @@ def test_hard_case_active_set_changes():
     assert res.active == "both"
     assert np.count_nonzero(res.gamma) == 4
     assert_matches_oracle(res, tau2, chan, params)
+
+
+def test_point_off_both_floors_raises(monkeypatch):
+    # the residual check is the inner allocation's last guard: a search that
+    # ends off both floors must not pass for an optimum
+    def off_both_floors(tau2, r_r, r_c, lam_r1, lam_c1, start):
+        return lam_r1, lam_c1, np.zeros(params.n_subcarriers), 0.5 * r_r, 0.5 * r_c
+        yield  # a generator, as the search it stands in for
+
+    params, chan = shape_instance("frontier-n16", 14)
+    tau2 = T_TOTAL * (1 - 1e-9)
+    assert inner_allocation(tau2, chan, params).active == "both"
+    monkeypatch.setattr(wpirc.solver, "_both_floor_multipliers", off_both_floors)
+    with pytest.raises(SolverError, match=r"inner allocation did not converge \(residual 5\.000e-01\)"):
+        inner_allocation(tau2, chan, params)
 
 
 @pytest.mark.parametrize("scale", [(1e-12, 1e-12), (1e-3, 0.9), (0.9, 1e-3), (0.999, 0.999)])
