@@ -27,7 +27,9 @@ from .solver import (
     Link,
     SolverError,
     _outer_steps,
+    _probe,
     _run_batch,
+    _validate_instance,
     inner_allocation,
     links,
     solve_with_allocation,
@@ -80,7 +82,7 @@ def _eq_solve_batch(rows: list[SystemParams], chan: ChannelRealization) -> list:
     kernel call per round serves every row's time-split probe.  Returns
     each row's ``Solution`` or the exception its solve raised, equal to
     what :func:`eq_solve` returns or raises for that row alone."""
-    searches = [_outer_steps(params, chan) for params in rows]
+    searches = [_outer_steps(params, chan, _probe) for params in rows]
     return _run_batch(searches, _equal_power_kernel(chan, rows[0].delta_f))
 
 
@@ -173,6 +175,7 @@ def feasibility_frontier(
     edge of the other floor's interval it is the value ``TIME_TOL * T``
     inside, where ``solve`` and ``eq_solve`` still find a feasible split.
     """
+    _validate_instance(params, chan)
     if target not in ("mi", "rate"):
         raise ValueError("target must be 'mi' or 'rate'")
     if scheme not in ("op", "eq"):

@@ -165,6 +165,7 @@ def equal_power_demand_bound(
     each gamma coordinate.  Returns ``inf`` when no equal-power point is
     feasible, a positive floor over an all-zero SNR vector included.
     """
+    _validate_instance(params, chan)
     total_time = params.total_time
     tau2 = np.linspace(total_time / tau2_steps, total_time, tau2_steps)
     floors = zip(links(chan, params.delta_f), (params.mi_floor, params.rate_floor))
@@ -281,6 +282,10 @@ def brute_force_oracle(
     _validate_instance(params, chan)
     if params.mi_floor == 0.0 and params.rate_floor == 0.0:
         return Solution.empty(SolveStatus.ZERO_DEMAND, params)
+    floors = list(zip(links(chan, params.delta_f), (params.mi_floor, params.rate_floor)))
+    # no energy meets a positive floor on a link with no positive SNR
+    if any(floor > 0.0 and not link.snr.any() for link, floor in floors):
+        return Solution.empty(SolveStatus.INFEASIBLE, params)
 
     budget_rate = harvest_rate(params, chan)
     total_time = params.total_time
@@ -305,7 +310,6 @@ def brute_force_oracle(
     rows = s_prefix.shape[1]
     block = max(1, ORACLE_BLOCK // max(rows, n))
 
-    floors = list(zip(links(chan, params.delta_f), (params.mi_floor, params.rate_floor)))
     lowered = [floor - 1e-9 * (floor + nc * link.scale * total_time) for link, floor in floors]
 
     def cheapest(t2, searched, goals):

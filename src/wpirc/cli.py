@@ -213,8 +213,9 @@ def _parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the YAML config")
         p.add_argument("--seed", type=int, help="override the channel seed")
-        p.add_argument("--out", help="override the output CSV path (sweep)")
-        p.add_argument("--trials", type=int, help="override the trial count (sweep)")
+        if name == "sweep":
+            p.add_argument("--out", help="override the output CSV path")
+            p.add_argument("--trials", type=int, help="override the trial count")
     return parser
 
 
@@ -226,10 +227,9 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
             cfg["master_seed"] = args.seed
-        if args.out is not None:
-            cfg["out"] = args.out
-        if args.trials is not None:
-            cfg["trials"] = args.trials
+        for key in ("out", "trials"):  # sweep only
+            if getattr(args, key, None) is not None:
+                cfg[key] = getattr(args, key)
 
         if args.command == "solve":
             return _cmd_solve(cfg)

@@ -608,16 +608,22 @@ def solve_with_allocation(
     before returned.  A floor that no finite profile meets is reported as
     infinite demand.
     """
-    steps = _outer_steps(params, chan)
+    steps = _outer_steps(params, chan, _probe)
     return _run(steps, lambda probes: [allocator(t2, start) for _, t2, start in probes])
 
 
+def _probe(params: SystemParams, tau2: float, start) -> Generator[tuple, tuple, tuple]:
+    """The answer that yields the probe itself, for the driver's kernel."""
+    return (yield params, tau2, start)
+
+
 def _outer_steps(
-    params: SystemParams, chan: ChannelRealization
+    params: SystemParams, chan: ChannelRealization, answer: Callable
 ) -> Generator[tuple, tuple, Solution]:
     """The time-split search of one instance, shared by every scheme and
-    entry point: each probe yields ``(params, tau2, start)`` and receives
-    ``(gamma, slope, start)``, the scheme's allocation at ``tau2``
+    entry point: each probe runs the scheme's generator ``answer(params,
+    tau2, start)``, yielding what it yields, and takes its return ``(gamma,
+    slope, start)``, the scheme's allocation at ``tau2``
     (:func:`solve_with_allocation`), with ``start`` passed on to the next
     probe (``None`` at the first).
 
@@ -654,7 +660,7 @@ def _outer_steps(
     tau2 = total_time
     start = None
     for steps in range(MAX_ITER + 1):
-        gamma, slope, start = yield params, tau2, start
+        gamma, slope, start = yield from answer(params, tau2, start)
         total = float(np.sum(gamma))
         margin = total - budget_rate * (total_time - tau2)
         if steps and margin <= 0.0:
@@ -708,9 +714,9 @@ def _run_batch(searches: list[Generator], kernel: Callable[[list], list]) -> lis
     """Drive searches in lockstep: each round, every search still running
     gets its answer and yields its next request, and one kernel call
     answers all of them.  Returns each search's value, or the exception it
-    raised.  An exception that answers a request is thrown into that
-    search (``throw``) alone (:func:`_answers`), so one row's failure
-    leaves the others as they would run alone."""
+    raised.  An exception as an answer, which the row-by-row retry of
+    :func:`_answers` makes, is thrown into its search (``throw``) alone, so
+    one row's failure leaves the others as they would run alone."""
     results: list = [None] * len(searches)
     replies = [(i, None) for i in range(len(searches))]
     while replies:
@@ -733,9 +739,9 @@ def _run_batch(searches: list[Generator], kernel: Callable[[list], list]) -> lis
 
 def _answers(asked: list, kernel: Callable[[list], list]) -> list:
     """``(row, answer)`` for each ``(row, request)``, from one kernel call,
-    or from one call per row when the stacked call raises.  An exception is
-    the answer of its row alone, whether the kernel returns it for that
-    request or raises it on that row's own call."""
+    or from one call per row when the stacked call raises.  The exception
+    that a row's own call raises is the answer of that row alone: no
+    kernel returns one."""
     try:
         answers = kernel([request for _, request in asked])
     except Exception as exc:
@@ -765,23 +771,20 @@ def solve(
 
 def _solve_batch(rows: list[SystemParams], chan: ChannelRealization) -> list:
     """:func:`solve` for rows that differ only in their floors, on one
-    channel, in lockstep (:func:`_run_batch`): each round of the rows'
-    time-split probes is answered by running their inner allocations in
-    lockstep too, one stacked kernel call per round serving every
-    multiplier search.  Returns each row's ``Solution`` or the exception
-    its solve raised, equal to what :func:`solve` returns or raises for
-    that row alone."""
+    channel, in lockstep (:func:`_run_batch`): each row's time-split search
+    runs its inner allocations' multiplier searches itself, and one stacked
+    kernel call per round serves every row's next profile evaluation.  So
+    the rows never wait for each other between probes.  Returns each row's
+    ``Solution`` or the exception its solve raised, equal to what
+    :func:`solve` returns or raises for that row alone."""
     pair = links(chan, rows[0].delta_f)
-    kernel = _jacobian_kernel(chan, rows[0].delta_f)
 
-    def allocations(probes: list) -> list:
-        inner = [_inner_steps(t2, pair, params, start) for params, t2, start in probes]
-        return [
-            res if isinstance(res, Exception) else (res.gamma, res.slope, res.duals)
-            for res in _run_batch(inner, kernel)
-        ]
+    def allocation(params: SystemParams, tau2: float, start) -> Generator:
+        res = yield from _inner_steps(tau2, pair, params, start)
+        return res.gamma, res.slope, res.duals
 
-    return _run_batch([_outer_steps(params, chan) for params in rows], allocations)
+    searches = [_outer_steps(params, chan, allocation) for params in rows]
+    return _run_batch(searches, _jacobian_kernel(chan, rows[0].delta_f))
 
 
 def _validate_instance(params: SystemParams, chan: ChannelRealization) -> None:

@@ -2,11 +2,11 @@
 
 Every entry point runs each row's own time-split search
 (``solver._outer_steps``).  ``_eq_solve_batch`` answers a round of the
-rows' probes with one stacked equal-power level call, and ``_solve_batch``
-with the probes' inner allocations, run in lockstep themselves under one
-stacked profile call per round; ``solve`` and ``eq_solve`` answer one probe
-at a time.  So each row must come out bit for bit as ``solve``/``eq_solve``
-give it, errors included.
+rows' probes with one stacked equal-power level call.  In ``_solve_batch``
+each row's search runs its inner allocations itself, and one stacked
+profile call per round serves every row's next multiplier step; ``solve``
+and ``eq_solve`` answer one probe at a time.  So each row must come out bit
+for bit as ``solve``/``eq_solve`` give it, errors included.
 """
 import math
 import warnings
@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from wpirc import ChannelRealization, Solution, SolveStatus, eq_solve, solve
 from wpirc.benchmark import _eq_solve_batch
-from wpirc.sim import sample_channel
+import wpirc.solver
+from wpirc.sim import sample_channel, trial_seed
 from wpirc.solver import SolverError, _run_batch, _solve_batch
 
 from conftest import make_params
@@ -93,6 +94,29 @@ def test_rows_on_an_all_zero_link_are_infeasible_alone_and_in_the_batch():
         assert [g.status for g in got] == [optimal, infeasible, optimal, infeasible]
         for params_row, row in zip(rows, got):
             assert_same_row(row, single(params_row, chan))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_a_sweep_trial_makes_as_many_kernel_calls_as_its_costliest_row(seed, monkeypatch):
+    # the criterion-4 sweep shape: no row waits for another between its
+    # time-split probes, so the stacked calls are those of the row that
+    # needs the most profile evaluations alone
+    base = make_params(n_subcarriers=128, n_antennas=5, rate_floor=150.0)
+    chan = sample_channel(trial_seed(seed, 0), base, 10.0, 10.0)
+    rows = [replace(base, mi_floor=float(m)) for m in np.linspace(30.0, 250.0, 10)]
+    calls = []
+    jacobian = wpirc.solver._floor_jacobian
+    monkeypatch.setattr(
+        wpirc.solver, "_floor_jacobian", lambda *args: calls.append(1) or jacobian(*args)
+    )
+    alone_calls = []
+    for params in rows:
+        calls.clear()
+        solve(params, chan)
+        alone_calls.append(len(calls))
+    calls.clear()
+    _solve_batch(rows, chan)
+    assert len(calls) == max(alone_calls)
 
 
 floors = st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=4.0).map(lambda e: 10.0**e))

@@ -186,6 +186,17 @@ class TestFeasibilityFrontier:
         with pytest.raises(ValueError, match="must be"):
             feasibility_frontier(params, chan, target, scheme)
 
+    @pytest.mark.parametrize(
+        "size, match",
+        [({"n_subcarriers": 8}, "SNR vector length"), ({"n_antennas": 5}, "channel vector length")],
+        ids=["subcarriers", "antennas"],
+    )
+    def test_channel_of_another_size_rejected(self, size, match):
+        params = make_params(n_subcarriers=16, n_antennas=3, rate_floor=20.0)
+        chan = sample_channel(0, params, 15.0, 10.0)
+        with pytest.raises(ValueError, match=match):
+            feasibility_frontier(replace(params, **size), chan, target="mi")
+
     def test_frontier_nonincreasing_in_other_floor(self):
         params = make_params(n_subcarriers=3, n_antennas=2)
         chan = sample_channel(9, params, 12.0, 12.0)

@@ -330,6 +330,17 @@ class TestEqualPowerDemandBound:
         assert bisection_demand_bound(params, chan) == math.inf
         assert equal_power_demand_bound(params, chan) == math.inf
 
+    @pytest.mark.parametrize(
+        "size, match",
+        [({"n_subcarriers": 8}, "SNR vector length"), ({"n_antennas": 5}, "channel vector length")],
+        ids=["subcarriers", "antennas"],
+    )
+    def test_channel_of_another_size_rejected(self, size, match):
+        params = make_params(n_subcarriers=16, n_antennas=3, mi_floor=20.0, rate_floor=20.0)
+        chan = sample_channel(0, params, 15.0, 10.0)
+        with pytest.raises(ValueError, match=match):
+            equal_power_demand_bound(replace(params, **size), chan)
+
     def test_level_runs_once_per_floor_for_the_whole_grid(self, monkeypatch):
         link_level = Link.level
         sizes = []
@@ -403,6 +414,15 @@ class TestBruteForceOracle:
             ref = rank_one_extract(sol.covariance_bar, sol.tau1)
             assert np.max(np.abs(sol.beam_vector - ref)) <= 1e-12 * np.linalg.norm(ref)
         assert n_optimal >= 40
+
+    def test_positive_floor_on_an_all_zero_link_is_infeasible(self):
+        # the harvest overflows, so no finite gamma axis spans it; no energy
+        # meets the MI floor on a link with no positive SNR anyway
+        params = make_params(mi_floor=5.0, rate_floor=5.0)
+        chan = ChannelRealization(h=[1e200, 1e200], radar_snr=[0.0, 0.0], comm_snr=[1.0, 2.0])
+        assert solve(params, chan).status is SolveStatus.INFEASIBLE
+        sol = brute_force_oracle(params, chan, OracleGrid(10, 10))
+        assert sol.status is SolveStatus.INFEASIBLE
 
     @pytest.mark.parametrize("seed", range(6))
     def test_default_grid_is_optimal_at_one_subcarrier(self, seed):

@@ -196,6 +196,15 @@ class TestSweepCommand:
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 4
 
+    @pytest.mark.parametrize("flag, value", [("--out", "other.csv"), ("--trials", "3")])
+    @pytest.mark.parametrize("command", ["solve", "certify", "oracle-check"])
+    def test_sweep_flags_are_usage_errors_elsewhere(self, tmp_path, capsys, command, flag, value):
+        path = write_config(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", path, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
     def test_seed_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         path = write_config(tmp_path, {"sweep_values": [15.0, 25.0], "trials": 2})
@@ -305,6 +314,15 @@ class TestAllZeroLink:
         assert main(["oracle-check", "--config", path]) == EXIT_OK
         out = capsys.readouterr().out
         assert "solver: infeasible" in out and "oracle: infeasible" in out
+
+    def test_oracle_agrees_on_infeasible_with_a_harvest_near_the_float_limit(
+        self, tmp_path, capsys
+    ):
+        # the harvest fallback edge is near 1e304: its rate tables overflow
+        path = write_config(tmp_path, {**self.ZERO_RADAR, "power_cap": 1.0e308})
+        assert main(["oracle-check", "--config", path]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "solver: infeasible" in out and "oracle: infeasible" in out and err == ""
 
     def test_sweep_rows_are_infeasible(self, tmp_path):
         out = tmp_path / "sweep.csv"
