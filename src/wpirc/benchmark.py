@@ -41,22 +41,34 @@ def _equal_power_kernel(chan: ChannelRealization, delta_f: float) -> Callable:
     """The equal-power scheme's answers to time-split probes on one channel:
     for a list of ``(params, tau2, start)`` probes, one
     :meth:`wpirc.solver.Link.level` call per link at each probe's floors,
-    split into one ``(gamma, slope, None)`` answer per probe, the profile at
-    ``tau2`` and the slope of its total.
+    split into one ``(gamma, slope, start)`` answer per probe: the profile
+    at ``tau2``, the slope of its total, and each link's tangent at its
+    level, from which the next probe's level of that link starts.  A probe's
+    ``start`` is the one its previous probe's answer carried, or ``None``.
 
     The common energy is the larger of the two floors' levels; where they
     tie, either floor's slope is a subgradient of the total.
     """
     n = chan.n_subcarriers
     radar, comm = links(chan, delta_f)
+    cold = ((math.nan,) * 3,) * 2  # a tangent of NaNs leaves a level cold
 
     def kernel(probes: list) -> list:
         tau2, mi_floor, rate_floor = np.array(
             [(t2, p.mi_floor, p.rate_floor) for p, t2, _ in probes]
         ).T
-        radar_levels = zip(*radar.level(mi_floor, tau2))
-        levels = map(max, radar_levels, zip(*comm.level(rate_floor, tau2)))
-        return [(np.full(n, gamma), n * float(slope), None) for gamma, slope in levels]
+        starts = [start for *_, start in probes]
+        radar_start = comm_start = None
+        if any(starts):
+            radar_start, comm_start = np.array([s or cold for s in starts]).transpose(1, 2, 0)
+        gamma_r, slope_r, tangent_r = radar.level(mi_floor, tau2, radar_start)
+        gamma_c, slope_c, tangent_c = comm.level(rate_floor, tau2, comm_start)
+        levels = map(max, zip(gamma_r, slope_r), zip(gamma_c, slope_c))
+        tangents = zip(zip(*tangent_r), zip(*tangent_c))
+        return [
+            (np.full(n, gamma), n * float(slope), start)
+            for (gamma, slope), start in zip(levels, tangents)
+        ]
 
     return kernel
 

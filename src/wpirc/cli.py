@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import operator
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
@@ -91,6 +92,18 @@ def _invalid(what: str):
         raise ConfigError(f"invalid {what}: {exc}") from exc
 
 
+def _integer(cfg: dict, key: str) -> int:
+    """``cfg[key]``, which must be an integer: a float, a bool or a string is
+    a ``ConfigError`` naming the key, not a value rounded or parsed."""
+    value = cfg[key]
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ConfigError(f"{key} must be an integer, not {value!r}")
+
+
 def build_params(cfg: dict) -> SystemParams:
     names = [f.name for f in fields(SystemParams)]
     with _invalid("system parameters"):
@@ -100,7 +113,7 @@ def build_params(cfg: dict) -> SystemParams:
 def _channel(cfg: dict, params: SystemParams):
     with _invalid("channel"):
         return sim.sample_channel(
-            int(cfg["seed"]),
+            _integer(cfg, "seed"),
             params,
             float(cfg["radar_snr_db"]),
             float(cfg["comm_snr_db"]),
@@ -137,8 +150,8 @@ def _cmd_sweep(cfg: dict) -> int:
             comm_snr_db=float(cfg["comm_snr_db"]),
             sweep_variable=cfg["sweep_variable"],
             sweep_values=tuple(float(v) for v in cfg["sweep_values"]),
-            trials=int(cfg["trials"]),
-            master_seed=int(cfg["master_seed"]),
+            trials=_integer(cfg, "trials"),
+            master_seed=_integer(cfg, "master_seed"),
             schemes=tuple(cfg["schemes"]),
             normalization=cfg["normalization"],
         )
@@ -178,8 +191,8 @@ def _cmd_oracle_check(cfg: dict) -> int:
     gamma_max = cfg["oracle_gamma_max"]
     with _invalid("oracle grid"):
         grid = certify.OracleGrid(
-            tau2_steps=int(cfg["oracle_tau2_steps"]),
-            gamma_steps=int(cfg["oracle_gamma_steps"]),
+            tau2_steps=_integer(cfg, "oracle_tau2_steps"),
+            gamma_steps=_integer(cfg, "oracle_gamma_steps"),
             gamma_max=None if gamma_max is None else float(gamma_max),
         )
     with _invalid("oracle_rel_tol"):

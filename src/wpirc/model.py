@@ -7,6 +7,7 @@ communication rate of the OFDM waveform, and constraint bookkeeping.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,6 +57,12 @@ class SystemParams:
     rate_floor: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("n_subcarriers", "n_antennas"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if self.n_subcarriers < 1 or self.n_antennas < 1:
             raise ValueError("n_subcarriers and n_antennas must be positive")
         for name in ("delta_f", "symbol_duration", "total_time", "power_cap"):

@@ -58,7 +58,8 @@ class SweepConfig:
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         schemes = tuple(self.schemes)
-        if not schemes or any(s not in ("op", "eq") for s in schemes):
+        known = all(s in ("op", "eq") for s in schemes)
+        if not schemes or not known or len(set(schemes)) < len(schemes):
             raise ValueError("schemes must be a nonempty subset of {'op', 'eq'}")
         object.__setattr__(self, "schemes", schemes)
         if self.normalization not in ("empirical", "ensemble"):

@@ -66,6 +66,11 @@ class InnerResult:
     stationarity_residual: float
     active: str  # "none" | "mi" | "rate" | "both"
     slope: float  # d sum(gamma) / d tau2
+    tau2: float
+    mi: float  # the sensing MI and data rate that gamma reaches
+    rate: float
+    # (dMI/dlambda_r, dMI/dlambda_c, drate/dlambda_c) at the duals, where both bind
+    jacobian: Optional[tuple[float, float, float]] = None
 
 
 MAX_ITER = 200  # iteration cap of every search
@@ -191,9 +196,9 @@ class Link:
         level = 2.0**exponent
         return np.maximum(level - inv, 0.0), level * LN2 / self.scale
 
-    def level(self, floor, tau2) -> tuple:
-        """Smallest common per-subcarrier energy meeting ``floor``, and its
-        slope in ``tau2``.
+    def level(self, floor, tau2, start=None) -> tuple:
+        """Smallest common per-subcarrier energy meeting ``floor``, its slope
+        in ``tau2``, and the tangent from which the next level may start.
 
         The common power ``x = gamma / tau2`` solves ``F(u) = sum log1p(e^u
         s) = target`` in ``u = log x``, with ``target = floor ln 2 / (scale
@@ -201,14 +206,22 @@ class Link:
         log(e^u s) <= F(u)`` makes ``u0 = (target - sum log s) / N+`` an
         upper bound on the root, and ``log1p(z) >= 2z / (2 + z)`` gives ``F
         >= 2xS / (2 + x s_max)`` with ``S = sum s``, so ``x = 2 target / (2S
-        - target s_max)`` is one too where it is positive; the iteration
-        starts at the smaller.  Newton steps from there fall monotonically
-        and every iterate meets the floor.  As ``F'' <= F'``, a step of size
-        ``d`` leaves an error under ``d^2 / 2``, so the iteration ends after
-        a step under 1e-8, the rounding-level step up from a gap just below
-        zero included; ``MAX_ITER`` caps the steps.  A start at which ``e^u``
-        or ``e^u s`` overflows means that no finite energy meets the floor:
-        the level is then ``inf``, with slope ``-inf``, as it is for a
+        - target s_max)`` is one too where it is positive.  ``start``, the
+        tangent ``(u, t, F'(u))`` that a level at another target ``t``
+        returned, gives a third: ``F`` is convex, so ``u + (target - t) /
+        F'(u)``, the root of its tangent, lies at or above the root, and
+        where the target fell ``u`` itself does.  The iteration starts at the
+        smallest bound.  Newton steps from there fall monotonically and every
+        iterate meets the floor.  Rounding in the level that the tangent came
+        from can put the third bound below the root; a first iterate short of
+        the target then steps up past the root (convexity again), or to the
+        smaller of the first two bounds if that is lower, and goes on from
+        there.  As ``F'' <= F'``, a step of size ``d`` leaves an error
+        under ``d^2 / 2``, so the iteration ends after a step under 1e-8, the
+        rounding-level step up from a gap just below zero included;
+        ``MAX_ITER`` caps the steps.  Where ``e^u`` or ``e^u s`` overflows at
+        the smaller of the first two bounds, no finite energy meets the
+        floor: the level is then ``inf``, with slope ``-inf``, as it is for a
         positive target on a link with no positive SNR.  A target below
         ``S`` times the smallest normal float, a zero floor's included, has a
         level below the float range: it reads 0, with slope 0.  Implicit
@@ -217,7 +230,10 @@ class Link:
 
         ``floor`` and ``tau2`` may be arrays: every element of their
         broadcast runs the same iteration at once and stops on its own rule,
-        and both results take its shape.
+        and the level and slope take its shape.  The tangent's parts are
+        flat, one entry per element, as ``start`` takes them; a NaN tangent,
+        as is returned where the level is ``inf``, leaves its element to the
+        first two bounds.
         """
         s, total, s_max, log_sum, u_max = self._level_sums
         target = floor * LN2 / self.scale / np.asarray(tau2, dtype=float)
@@ -225,7 +241,8 @@ class Link:
         if not s.size:
             unreachable = target > 0.0
             gamma = np.where(unreachable, math.inf, 0.0)
-            return gamma[()], np.where(unreachable, -math.inf, 0.0)[()]
+            nan = np.full(np.size(target), math.nan)
+            return gamma[()], np.where(unreachable, -math.inf, 0.0)[()], (nan, nan, nan)
         target = np.reshape(target, -1)
         below = target < _TINY * total
         # the iteration runs on a stand-in where the level reads 0
@@ -233,9 +250,16 @@ class Link:
         u0 = (target - log_sum) / s.size
         # 1 / x of the second bound where it holds (inv > 0); elsewhere u0 stands
         inv = total / target - 0.5 * s_max
-        u = np.minimum(u0, -np.log(inv, out=-u0, where=inv > 0.0))
-        finite = u < u_max
-        u = np.where(finite, u, 0.0)  # kept harmless while the finite levels iterate
+        cold = np.minimum(u0, -np.log(inv, out=-u0, where=inv > 0.0))
+        finite = cold < u_max
+        u = np.where(finite, cold, 0.0)  # kept harmless while the finite levels iterate
+        warm = None
+        if start is not None:
+            u_t, t_t, grad_t = start
+            with np.errstate(all="ignore"):
+                tangent = u_t + np.maximum(target - t_t, 0.0) / grad_t
+            warm = finite & (tangent < cold)
+            u = np.where(warm, tangent, u)
         live = finite
         for _ in range(MAX_ITER):
             xs = np.exp(u)[:, None] * s
@@ -245,12 +269,21 @@ class Link:
             step = (np.add.reduce(np.log1p(xs), 1) - target) / grad * live
             u -= step
             live = step > 1e-8
+            if warm is not None:
+                # a first iterate short of the target stepped up past the
+                # root: it goes on from there, or from the cold bound if lower
+                short = warm & (step < -1e-8)
+                if short.any():
+                    u = np.where(short, np.minimum(u, cold), u)
+                    live |= short
+                warm = None
         x = np.where(below, 0.0, np.exp(u))
         # a level near the float limit can have a slope past it: that reads -inf
         with np.errstate(over="ignore"):
             gamma = np.where(finite, x, math.inf).reshape(shape) * tau2
             slope = np.where(finite, x * (1.0 - target / grad), -math.inf)
-        return gamma[()], slope.reshape(shape)[()]
+        tangent = (np.where(finite, u, math.nan), target, grad)
+        return gamma[()], slope.reshape(shape)[()], tangent
 
     def pour(self, total: float) -> tuple[float, float, np.ndarray]:
         """Water-filling of the total power ``total > 0``: ``(G, dG/dtotal,
@@ -338,18 +371,21 @@ def _inner_steps(
             rate = comm.bits(x, tau2) if lam_c1 < math.inf else math.inf
             return _inner_result(tau2 * x, 0.0, lam_c1, mi, rate, tau2, params, "rate")
 
-    lam_r, lam_c, gamma, mi, rate = yield from _both_floor_multipliers(
+    lam_r, lam_c, gamma, mi, rate, jacobian = yield from _both_floor_multipliers(
         tau2, r_r, r_c, lam_r1, lam_c1, start
     )
-    result = _inner_result(gamma, lam_r, lam_c, mi, rate, tau2, params, "both")
+    result = _inner_result(gamma, lam_r, lam_c, mi, rate, tau2, params, "both", jacobian)
     if (res := result.stationarity_residual) > 1e3 * DUAL_TOL:
         raise SolverError(f"inner allocation did not converge (residual {res:.3e})")
     return result
 
 
-def _inner_result(gamma, lam_r, lam_c, mi, rate, tau2, params, active) -> InnerResult:
+def _inner_result(
+    gamma, lam_r, lam_c, mi, rate, tau2, params, active, jacobian=None
+) -> InnerResult:
     """The inner allocation's result from its profile, multipliers, MI and
-    rate, with the KKT residual and the slope of the least energy in ``tau2``.
+    rate (and their slopes in the multipliers where both floors bind), with
+    the KKT residual and the slope of the least energy in ``tau2``.
 
     The least energy ``D(r_r, r_c, tau2)`` is positively homogeneous of
     degree 1, since both floors are perspectives, and ``dD/dr`` is each
@@ -361,10 +397,10 @@ def _inner_result(gamma, lam_r, lam_c, mi, rate, tau2, params, active) -> InnerR
     """
     duals = DualPair(lam_r, lam_c)
     res = _kkt_residual(duals, mi, rate, params.mi_floor, params.rate_floor)
-    if math.isinf(res):
-        return InnerResult(gamma, duals, res, active, -math.inf)
-    slope = (float(np.add.reduce(gamma)) - lam_r * mi - lam_c * rate) / tau2
-    return InnerResult(gamma, duals, res, active, slope)
+    slope = -math.inf
+    if not math.isinf(res):
+        slope = (float(np.add.reduce(gamma)) - lam_r * mi - lam_c * rate) / tau2
+    return InnerResult(gamma, duals, res, active, slope, tau2, mi, rate, jacobian)
 
 
 def _floor_jacobian(lambda_r, lambda_c, v, w, tau2, delta_f) -> tuple:
@@ -440,7 +476,8 @@ def _both_floor_multipliers(
     start: Optional[DualPair],
 ) -> Generator[tuple, tuple, tuple]:
     """Multipliers at which both floors hold with equality, with the
-    profile, MI and rate there.
+    profile, MI and rate there and the slopes ``(j_rr, j_rc, j_cc)`` of
+    (MI, rate) in the multipliers (:func:`_floor_jacobian`).
 
     A Newton search on ``(MI, rate) = (r_r, r_c)`` in log-multipliers,
     safeguarded by brackets.  The root lies in ``(0, lam_r1) x (0,
@@ -489,7 +526,7 @@ def _both_floor_multipliers(
         fixed_r, fixed_c = abs(d_r) <= 1e-13 * lam_r, abs(d_c) <= 1e-13 * lam_c
         if (abs(e_r) <= tol_r or fixed_r) and (abs(e_c) <= tol_c or fixed_c):
             if polished or (fixed_r and fixed_c) or not det > 0.0:
-                return lam_r, lam_c, gamma, mi, rate
+                return lam_r, lam_c, gamma, mi, rate, (j_rr, j_rc, j_cc)
             polished = True  # one more step sharpens the duals quadratically
         res = max(abs(e_r) / tol_r, abs(e_c) / tol_c)
 
@@ -528,6 +565,34 @@ def _both_floor_multipliers(
         new_c = _log_step(lam_c, -(e_c + j_rc * d_r) / j_cc) if j_cc > 0.0 else nan
         lam_c = new_c if lo_c < new_c < hi_c else _log_mid(lo_c, hi_c, top_c)
     raise SolverError("multiplier search for both rate floors did not converge")
+
+
+def _warm_start(prev: Optional[InnerResult], tau2: float, params: SystemParams):
+    """The multiplier search's start at ``tau2``, from the inner allocation
+    ``prev`` of the previous time-split probe (``None`` at the first).
+
+    At fixed multipliers the powers ``x = gamma / tau2`` do not depend on
+    ``tau2``, so the MI, the rate and their slopes in the multipliers are
+    ``prev``'s times ``tau2 / prev.tau2``.  The search's first Newton step
+    from ``prev``'s duals, taken in log-multipliers as
+    :func:`_both_floor_multipliers` steps, thus needs no profile evaluation:
+    a continuation method's predictor step.  Where ``prev`` did not bind
+    both floors, or its Jacobian is singular, the start is ``prev``'s duals.
+    """
+    if prev is None:
+        return None
+    j_rr, j_rc, j_cc = prev.jacobian or (0.0, 0.0, 0.0)
+    det = j_rr * j_cc - j_rc * j_rc
+    if not det > 0.0:
+        return prev.duals
+    ratio = tau2 / prev.tau2
+    e_r = ratio * prev.mi - params.mi_floor
+    e_c = ratio * prev.rate - params.rate_floor
+    # the Newton step against the Jacobian scaled by ratio
+    d_r = (j_rc * e_c - j_cc * e_r) / (ratio * det)
+    d_c = (j_rc * e_r - j_rr * e_c) / (ratio * det)
+    lam_r, lam_c = prev.duals.lambda_r, prev.duals.lambda_c
+    return DualPair(_log_step(lam_r, d_r), _log_step(lam_c, d_c))
 
 
 def _kkt_residual(duals: DualPair, mi: float, rate: float, r_r: float, r_c: float) -> float:
@@ -603,7 +668,7 @@ def solve_with_allocation(
     cheapest per-subcarrier energy profile that the scheme allows at that
     transmit-slot length, ``slope = d sum(gamma) / d tau2`` (any
     subgradient where the demand has a kink), and what the next probe
-    starts from, for example the duals of the inner allocation.  The first
+    starts from, for example the inner allocation itself.  The first
     probe gets ``start=None``, every later one the ``start`` that the probe
     before returned.  A floor that no finite profile meets is reported as
     infinite demand.
@@ -625,7 +690,10 @@ def _outer_steps(
     tau2, start)``, yielding what it yields, and takes its return ``(gamma,
     slope, start)``, the scheme's allocation at ``tau2``
     (:func:`solve_with_allocation`), with ``start`` passed on to the next
-    probe (``None`` at the first).
+    probe (``None`` at the first).  For ``op``, ``start`` is the inner
+    allocation, from which :func:`_warm_start` predicts the next probe's
+    multipliers; for ``eq`` it is each link's tangent at its level, from
+    which the next level starts (:meth:`Link.level`).
 
     The demand ``sum(gamma)`` is convex in ``tau2``, so the margin ``phi(tau2)
     = sum(gamma) - B (T - tau2)`` is too, with ``B = eta ||h||^2 P``
@@ -757,14 +825,14 @@ def solve(
 ) -> Solution:
     """Jointly optimal time split, subcarrier energies and beamformer.
 
-    Each inner allocation starts its multiplier search from the duals of
-    the previous ``tau2`` probe, and gives the slope of the demand for the
-    outer Newton step.
+    Each inner allocation starts its multiplier search from the tangent
+    prediction of the previous ``tau2`` probe's answer (:func:`_warm_start`),
+    and gives the slope of the demand for the outer Newton step.
     """
 
-    def allocator(t2: float, start: Optional[DualPair]) -> tuple:
-        res = inner_allocation(t2, chan, params, start)
-        return res.gamma, res.slope, res.duals
+    def allocator(t2: float, prev: Optional[InnerResult]) -> tuple:
+        res = inner_allocation(t2, chan, params, _warm_start(prev, t2, params))
+        return res.gamma, res.slope, res
 
     return solve_with_allocation(params, chan, allocator)
 
@@ -772,16 +840,17 @@ def solve(
 def _solve_batch(rows: list[SystemParams], chan: ChannelRealization) -> list:
     """:func:`solve` for rows that differ only in their floors, on one
     channel, in lockstep (:func:`_run_batch`): each row's time-split search
-    runs its inner allocations' multiplier searches itself, and one stacked
+    runs its inner allocations' multiplier searches itself, each from the
+    start that :func:`solve` takes (:func:`_warm_start`), and one stacked
     kernel call per round serves every row's next profile evaluation.  So
     the rows never wait for each other between probes.  Returns each row's
     ``Solution`` or the exception its solve raised, equal to what
     :func:`solve` returns or raises for that row alone."""
     pair = links(chan, rows[0].delta_f)
 
-    def allocation(params: SystemParams, tau2: float, start) -> Generator:
-        res = yield from _inner_steps(tau2, pair, params, start)
-        return res.gamma, res.slope, res.duals
+    def allocation(params: SystemParams, tau2: float, prev) -> Generator:
+        res = yield from _inner_steps(tau2, pair, params, _warm_start(prev, tau2, params))
+        return res.gamma, res.slope, res
 
     searches = [_outer_steps(params, chan, allocation) for params in rows]
     return _run_batch(searches, _jacobian_kernel(chan, rows[0].delta_f))

@@ -120,6 +120,34 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("solve", "seed", 2.7),
+            ("certify", "seed", True),
+            ("sweep", "master_seed", 2.7),
+            ("sweep", "trials", 1.9),
+            ("sweep", "trials", True),
+            ("oracle-check", "oracle_tau2_steps", 2.5),
+            ("oracle-check", "oracle_gamma_steps", 2.5),
+            ("solve", "n_subcarriers", 4.0),
+            ("sweep", "n_antennas", 2.0),
+        ],
+    )
+    def test_non_integer_count_is_a_config_error_naming_its_key(
+        self, tmp_path, capsys, monkeypatch, command, key, value
+    ):
+        # not rounded down, nor read as 1, nor failing inside NumPy
+        def no_solve(*args):
+            raise AssertionError("solved a config with a non-integer count")
+
+        monkeypatch.setattr(solver, "solve", no_solve)
+        monkeypatch.setattr(sim, "run_sweep", no_solve)
+        path = write_config(tmp_path, {key: value, "out": str(tmp_path / "sweep.csv")})
+        assert main([command, "--config", path]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and f"{key} must be an integer" in err
+
     @pytest.mark.parametrize("out", ["missing/sweep.csv", "."])
     def test_unwritable_sweep_out_is_a_config_error(self, tmp_path, capsys, monkeypatch, out):
         # a file in a missing directory, and a directory itself

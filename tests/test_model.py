@@ -113,6 +113,12 @@ class TestSystemParams:
         with pytest.raises(ValueError):
             make_params(n_subcarriers=0)
 
+    @pytest.mark.parametrize("name", ["n_subcarriers", "n_antennas"])
+    def test_rejects_non_integral_counts(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, not 4.0"):
+            make_params(**{name: 4.0})
+        assert getattr(make_params(**{name: np.int64(4)}), name) == 4
+
     @pytest.mark.parametrize(
         "name",
         ["delta_f", "symbol_duration", "total_time", "power_cap", "efficiency", "mi_floor",

@@ -138,7 +138,8 @@ def test_point_off_both_floors_raises(monkeypatch):
     # the residual check is the inner allocation's last guard: a search that
     # ends off both floors must not pass for an optimum
     def off_both_floors(tau2, r_r, r_c, lam_r1, lam_c1, start):
-        return lam_r1, lam_c1, np.zeros(params.n_subcarriers), 0.5 * r_r, 0.5 * r_c
+        zeros = np.zeros(params.n_subcarriers)
+        return lam_r1, lam_c1, zeros, 0.5 * r_r, 0.5 * r_c, (1.0, 0.0, 1.0)
         yield  # a generator, as the search it stands in for
 
     params, chan = shape_instance("frontier-n16", 14)

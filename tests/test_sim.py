@@ -209,6 +209,7 @@ class TestRunSweep:
             (dict(trials=0), "trials must be positive"),
             (dict(schemes=()), "schemes must be"),
             (dict(schemes=("op", "opt")), "schemes must be"),
+            (dict(schemes=("op", "op")), "schemes must be"),
             (dict(sweep_values=(-1.0, 5.0)), "rate floors must be nonnegative"),
         ],
     )

@@ -42,7 +42,7 @@ from test_multiplier_search import SHAPES, shape_instance
 
 def _common_gamma(snr, floor, tau2, delta_f, half):
     """The equal-power level of one link at ``floor`` and ``tau2``, and its slope."""
-    return Link(snr, (0.5 if half else 1.0) * delta_f).level(floor, tau2)
+    return Link(snr, (0.5 if half else 1.0) * delta_f).level(floor, tau2)[:2]
 
 
 def _equal_power_allocation(tau2, chan, params, start=None):

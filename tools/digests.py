@@ -1,12 +1,30 @@
-"""Digests of wpirc's outputs, to check that a change keeps them bit for bit.
+"""Digests of wpirc's outputs, to check that a change keeps them bit for bit,
+or moves them only as far as it means to.
 
-    python3 tools/digests.py [--src DIR]
+    python3 tools/digests.py [--src DIR] [--dump FILE]
+    python3 tools/digests.py --compare OLD NEW
 
 imports wpirc from ``DIR`` (default: this checkout's ``src/``) and prints one
 ``name sha256`` line per output set, then the line count of ``DIR``'s
-package.  Run it on two trees (for example on a ``git archive`` export of
-the parent commit and on the working tree) and compare the lines.  The
-sets are the benchmark workloads' inputs plus a random set:
+package and a ``counts`` line.  Run it on two trees (for example on a ``git
+archive`` export of the parent commit and on the working tree) and compare
+the lines.  ``--dump FILE`` also writes each set's values as JSON: one
+``[status, value, tau2 / T]`` entry per output, with the energy (the
+frontier's bits for ``frontier``) as the value, the exception's type and
+message as the status of a call that raised, and NaN where an entry has no
+such value.  ``--compare OLD NEW`` reads two dumps and prints, for each set,
+the number of status mismatches, the largest relative difference of the
+values and the largest ``|d tau2| / T``: the check for a change that moves
+output bits on purpose.
+
+The ``counts`` line gives the work of the searches on the benchmark shapes:
+``_floor_jacobian`` calls per ``solve`` on the 96 ``solve-n1024`` channels,
+Newton steps of ``Link.level`` per ``eq_solve`` on the same channels
+(``np.log1p`` calls in ``wpirc.solver``, one per step), and the stacked
+``_floor_jacobian`` calls of ``_solve_batch`` over the 24 ``sweep-n128``
+trials (master seeds 0-23, one trial each).  Each repeats exactly.
+
+The sets are the benchmark workloads' inputs plus a random set:
 
 - ``solve-n1024``: ``solve`` and ``eq_solve`` on the 96 channels of the
   workload: status, energy, tau1, tau2 and the bytes of gamma, beam and
@@ -28,9 +46,12 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
+import math
 import struct
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +77,18 @@ def solution_bytes(sol) -> bytes:
     return head + b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)
 
 
+def solution_values(sol) -> list:
+    """A solution's ``[status, energy, tau2 / T]``, or an exception's."""
+    if isinstance(sol, Exception):
+        return [f"{type(sol).__name__}: {sol}", math.nan, math.nan]
+    return [sol.status.value, sol.energy, sol.tau2 / PAPER_UNITS["total_time"]]
+
+
+def record(sol, digest, values) -> None:
+    digest.update(solution_bytes(sol))
+    values.append(solution_values(sol))
+
+
 def attempt(fn, *args):
     try:
         return fn(*args)
@@ -63,17 +96,21 @@ def attempt(fn, *args):
         return exc
 
 
-def solve_n1024(wpirc, digest) -> None:
-    params = wpirc.SystemParams(
+def solve_n1024_params(wpirc):
+    return wpirc.SystemParams(
         **PAPER_UNITS, n_subcarriers=1024, n_antennas=5, mi_floor=960.0, rate_floor=1200.0
     )
+
+
+def solve_n1024(wpirc, digest, values) -> None:
+    params = solve_n1024_params(wpirc)
     for seed in range(96):
         chan = wpirc.sim.sample_channel(seed, params, 10.0, 10.0)
         for fn in (wpirc.solve, wpirc.eq_solve):
-            digest.update(solution_bytes(fn(params, chan)))
+            record(fn(params, chan), digest, values)
 
 
-def random_rows(wpirc, digest) -> None:
+def random_rows(wpirc, digest, values) -> None:
     rng = np.random.default_rng(20181105)
     batches = (
         (wpirc.solve, wpirc.solver._solve_batch),
@@ -93,10 +130,10 @@ def random_rows(wpirc, digest) -> None:
         ]
         for alone, batch in batches:
             for sol in [attempt(alone, p, chan) for p in rows] + batch(rows, chan):
-                digest.update(solution_bytes(sol))
+                record(sol, digest, values)
 
 
-def frontier(wpirc, digest) -> None:
+def frontier(wpirc, digest, values) -> None:
     for target, other in (("mi", "rate_floor"), ("rate", "mi_floor")):
         params = wpirc.SystemParams(
             **PAPER_UNITS, n_subcarriers=16, n_antennas=3, **{other: 20.0}
@@ -106,9 +143,11 @@ def frontier(wpirc, digest) -> None:
             for scheme in ("op", "eq"):
                 value = attempt(wpirc.feasibility_frontier, params, chan, target, scheme)
                 digest.update(repr(value).encode())
+                failed = isinstance(value, Exception)
+                values.append(solution_values(value) if failed else ["frontier", value, math.nan])
 
 
-def sweep_csv(wpirc, digest) -> None:
+def sweep_csv(wpirc, digest, values) -> None:
     base = wpirc.SystemParams(
         **PAPER_UNITS, n_subcarriers=128, n_antennas=5, mi_floor=0.0, rate_floor=150.0
     )
@@ -121,13 +160,15 @@ def sweep_csv(wpirc, digest) -> None:
         trials=24,
         master_seed=0,
     )
+    rows = wpirc.sim.run_sweep(config)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep.csv"
-        wpirc.sim.write_csv(wpirc.sim.run_sweep(config), out)
+        wpirc.sim.write_csv(rows, out)
         digest.update(out.read_bytes())
+    values.extend([r.status, r.energy, r.tau2 / base.total_time] for r in rows)
 
 
-def oracle_check(wpirc, digest) -> None:
+def oracle_check(wpirc, digest, values) -> None:
     rng = np.random.default_rng(1)
     with tempfile.TemporaryDirectory() as tmp:
         for seed in range(32):
@@ -144,6 +185,7 @@ def oracle_check(wpirc, digest) -> None:
             with contextlib.redirect_stdout(out):
                 code = wpirc.cli.main(["oracle-check", "--config", str(path)])
             digest.update(f"{code}\n{out.getvalue()}".encode())
+            values.append([f"exit {code}", math.nan, math.nan])
 
 
 SETS = {
@@ -155,22 +197,110 @@ SETS = {
 }
 
 
+class CountingNumpy:
+    """NumPy with its ``log1p`` calls counted."""
+
+    def __init__(self):
+        self.log1p_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log1p(self, *args, **kwargs):
+        self.log1p_calls += 1
+        return np.log1p(*args, **kwargs)
+
+
+def counts(wpirc) -> str:
+    """The ``counts`` line: the searches' work on the benchmark shapes."""
+    solver = wpirc.solver
+    jacobian = solver._floor_jacobian
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return jacobian(*args)
+
+    params = solve_n1024_params(wpirc)
+    channels = [wpirc.sim.sample_channel(seed, params, 10.0, 10.0) for seed in range(96)]
+    base = wpirc.SystemParams(**PAPER_UNITS, n_subcarriers=128, n_antennas=5, rate_floor=150.0)
+    rows = [replace(base, mi_floor=float(m)) for m in np.linspace(30.0, 250.0, 10)]
+    numpy = CountingNumpy()
+    solver._floor_jacobian = counted
+    try:
+        for chan in channels:
+            wpirc.solve(params, chan)
+        per_solve, calls[0] = calls[0] / len(channels), 0
+        for seed in range(24):
+            chan = wpirc.sim.sample_channel(wpirc.sim.trial_seed(seed, 0), base, 10.0, 10.0)
+            solver._solve_batch(rows, chan)
+        solver.np = numpy
+        for chan in channels:
+            wpirc.eq_solve(params, chan)
+    finally:
+        solver._floor_jacobian, solver.np = jacobian, np
+    return (
+        f"counts floor_jacobian_per_solve {per_solve:.2f}"
+        f" level_steps_per_eq_solve {numpy.log1p_calls / len(channels):.2f}"
+        f" sweep_stacked_calls {calls[0]}"
+    )
+
+
+def moved(a: float, b: float, relative: bool) -> float:
+    """How far ``b`` moved from ``a``: 0 where they are equal or both NaN,
+    inf where only one is finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / (max(abs(a), abs(b)) if relative else 1.0)
+
+
+def compare(old_path: Path, new_path: Path) -> None:
+    """Print, for each set of two dumps, how far the values moved."""
+    old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
+    for name in old:
+        a, b = old[name], new.get(name, [])
+        if len(a) != len(b):
+            print(f"{name}: {len(a)} values against {len(b)}")
+            continue
+        statuses = sum(x[0] != y[0] for x, y in zip(a, b))
+        rel = max((moved(x[1], y[1], True) for x, y in zip(a, b)), default=0.0)
+        dtau = max((moved(x[2], y[2], False) for x, y in zip(a, b)), default=0.0)
+        print(
+            f"{name}: {len(a)} values, {statuses} status mismatches,"
+            f" max rel value diff {rel:.3e}, max |d tau2|/T {dtau:.3e}"
+        )
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding wpirc")
-    src = parser.parse_args().src.resolve()
+    parser.add_argument("--dump", type=Path, help="also write each set's values to this JSON file")
+    parser.add_argument(
+        "--compare", type=Path, nargs=2, metavar=("OLD", "NEW"), help="compare two dumps and exit"
+    )
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+        return
+    src = args.src.resolve()
     sys.path.insert(0, str(src))
     import wpirc
     import wpirc.cli
 
     if not Path(wpirc.__file__).resolve().is_relative_to(src):
         sys.exit(f"wpirc was imported from {wpirc.__file__}, not from {src}")
+    dump = {}
     for name, run in SETS.items():
         digest = hashlib.sha256()
-        run(wpirc, digest)
+        run(wpirc, digest, dump.setdefault(name, []))
         print(name, digest.hexdigest())
     lines = sum(len(p.read_text().splitlines()) for p in sorted((src / "wpirc").glob("*.py")))
     print("src-lines", lines)
+    print(counts(wpirc))
+    if args.dump:
+        args.dump.write_text(json.dumps(dump))
 
 
 if __name__ == "__main__":
