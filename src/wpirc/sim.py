@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import operator
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -53,6 +54,14 @@ class SweepConfig:
         for snr_db in (self.radar_snr_db, self.comm_snr_db):
             if not math.isfinite(_linear_snr(snr_db) * n):
                 raise ValueError(f"SNR of {snr_db} dB has no finite value on {n} subcarriers")
+        for name in ("trials", "master_seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, not {value!r}") from None
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if self.master_seed < 0:

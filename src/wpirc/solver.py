@@ -346,11 +346,30 @@ def _inner_steps(
     data links (:func:`links`)."""
     if tau2 <= 0:
         raise ValueError("tau2 must be positive")
+    single, lam_r1, lam_c1 = _single_floor(tau2, pair, params)
+    if single is not None:
+        return single
+    lam_r, lam_c, gamma, mi, rate, jacobian = yield from _both_floor_multipliers(
+        tau2, params.mi_floor, params.rate_floor, lam_r1, lam_c1, start
+    )
+    result = _inner_result(gamma, lam_r, lam_c, mi, rate, tau2, params, "both", jacobian)
+    if (res := result.stationarity_residual) > 1e3 * DUAL_TOL:
+        raise SolverError(f"inner allocation did not converge (residual {res:.3e})")
+    return result
+
+
+def _single_floor(
+    tau2: float, pair: tuple[Link, Link], params: SystemParams
+) -> tuple[Optional[InnerResult], float, float]:
+    """The inner allocation at ``tau2`` where at most one floor binds, in
+    closed form (:meth:`Link.fill`), else ``None``; and the single-floor
+    multipliers, which bound the search where both bind."""
     radar, comm = pair
     r_r, r_c = params.mi_floor, params.rate_floor
 
     if r_r == 0.0 and r_c == 0.0:
-        return _inner_result(np.zeros_like(radar.snr), 0.0, 0.0, 0.0, 0.0, tau2, params, "none")
+        zero = np.zeros_like(radar.snr)
+        return _inner_result(zero, 0.0, 0.0, 0.0, 0.0, tau2, params, "none"), 0.0, 0.0
 
     tol_r = DUAL_TOL * max(1.0, r_r)
     tol_c = DUAL_TOL * max(1.0, r_c)
@@ -363,21 +382,14 @@ def _inner_steps(
         rate = comm.bits(x, tau2) if lam_r1 < math.inf else math.inf
         if rate >= r_c - tol_c:
             mi = radar.bits(x, tau2) if lam_r1 < math.inf else math.inf
-            return _inner_result(tau2 * x, lam_r1, 0.0, mi, rate, tau2, params, "mi")
+            return _inner_result(tau2 * x, lam_r1, 0.0, mi, rate, tau2, params, "mi"), lam_r1, 0.0
     if r_c > 0.0:
         x, lam_c1 = comm.fill(r_c, tau2)
         mi = radar.bits(x, tau2) if lam_c1 < math.inf else math.inf
         if mi >= r_r - tol_r:
             rate = comm.bits(x, tau2) if lam_c1 < math.inf else math.inf
-            return _inner_result(tau2 * x, 0.0, lam_c1, mi, rate, tau2, params, "rate")
-
-    lam_r, lam_c, gamma, mi, rate, jacobian = yield from _both_floor_multipliers(
-        tau2, r_r, r_c, lam_r1, lam_c1, start
-    )
-    result = _inner_result(gamma, lam_r, lam_c, mi, rate, tau2, params, "both", jacobian)
-    if (res := result.stationarity_residual) > 1e3 * DUAL_TOL:
-        raise SolverError(f"inner allocation did not converge (residual {res:.3e})")
-    return result
+            return _inner_result(tau2 * x, 0.0, lam_c1, mi, rate, tau2, params, "rate"), 0.0, lam_c1
+    return None, lam_r1, lam_c1
 
 
 def _inner_result(
@@ -567,6 +579,143 @@ def _both_floor_multipliers(
     raise SolverError("multiplier search for both rate floors did not converge")
 
 
+def _predicted_slot(
+    params: SystemParams, chan: ChannelRealization, pair: tuple[Link, Link]
+) -> Generator[tuple, tuple, Optional[tuple]]:
+    """A prediction ``(tau2, start)`` of the optimal slot for the ``op``
+    time-split search to start from (:func:`_outer_steps`), or ``None``.
+
+    It is made only where both floors bind at ``T`` (:func:`_single_floor`,
+    in closed form); elsewhere the search from ``T`` is free of profile
+    evaluations already.  First each floor alone: where the other floor
+    holds at one floor's own slot (:func:`_one_floor_slot`), that slot is
+    the optimum, with no profile evaluation and ``start = None``.  Where a
+    floor alone has no slot the instance is infeasible, which the search
+    from ``T`` certifies (as it decides wherever no slot is found).
+    Otherwise both floors bind at the optimum, and the reduced multiplier
+    search (:func:`_reduced_multipliers`) predicts the slot and the inner
+    allocation that the first probe starts from; it yields ``(mu_r, mu_c,
+    1.0)`` requests to :func:`_jacobian_kernel`.
+    """
+    _validate_instance(params, chan)
+    budget_rate = harvest_rate(params, chan)
+    r_r, r_c = params.mi_floor, params.rate_floor
+    if not (r_r > 0.0 and r_c > 0.0 and budget_rate > 0.0):
+        return None
+    single, lam_r1, lam_c1 = _single_floor(params.total_time, pair, params)
+    if single is not None:
+        return None
+    radar, comm = pair
+    for link, floor, other, other_floor in ((radar, r_r, comm, r_c), (comm, r_c, radar, r_r)):
+        alone = _one_floor_slot(link, floor, budget_rate, params.total_time)
+        if alone is None:
+            return None
+        tau2, x = alone
+        if other.bits(x, tau2) >= other_floor - DUAL_TOL * max(1.0, other_floor):
+            return tau2, None
+    return (yield from _reduced_multipliers(params, budget_rate, lam_r1, lam_c1))
+
+
+def _one_floor_slot(link: Link, floor: float, budget_rate: float, total_time: float):
+    """The largest slot at which ``link``'s floor alone is met within the
+    budget, with its powers, or ``None`` where no slot is.
+
+    With the budget binding, ``tau2 = B T / (S + B)`` for the total power
+    ``S``, and the floor holds where ``h(S) = scale B T G(S) - floor (S +
+    B) >= 0``, with ``G`` the bits of the water-filling of ``S``
+    (:meth:`Link.pour`).  ``h`` is concave.  At the powers that meet the
+    floor at ``T`` it reads ``-floor S < 0``, so Newton steps from there
+    rise monotonically to its smallest root, the largest slot; a slope that
+    is not positive on the way means that ``h`` has no root.  ``MAX_ITER``
+    caps the steps (a near-tangent ``h``), and ends with ``None`` too.
+    """
+    total = float(np.add.reduce(link.fill(floor, total_time)[0]))
+    scale = link.scale * budget_rate * total_time
+    for _ in range(MAX_ITER):
+        g, grad, x = link.pour(total)
+        slope = scale * grad - floor
+        step = (floor * (total + budget_rate) - scale * g) / slope if slope > 0.0 else math.nan
+        if not math.isfinite(step):
+            return None
+        if step <= 1e-13 * total:
+            return budget_rate * total_time / (total + budget_rate), x
+        total += step
+    return None
+
+
+PREDICT_CALLS = 14  # profile evaluations that a reduced search may spend
+
+
+def _reduced_multipliers(
+    params: SystemParams, budget_rate: float, mu_r: float, mu_c: float
+) -> Generator[tuple, tuple, Optional[tuple]]:
+    """The slot and inner allocation where both floors bind at the optimum,
+    from a search in the scaled multipliers ``mu`` alone, or ``None``.
+
+    Write ``x = gamma / tau2``: the optimal ``x`` is the stationary profile
+    at ``tau2 = 1`` for some ``mu`` (the floors are perspectives), and the
+    budget binds, so ``tau2 = B T / (sum x + B)``.  The optimum thus solves
+    ``G(mu) = tau2(mu) (mi_1, rate_1)(x(mu)) = (r_r, r_c)``, with the
+    floors' bits at ``tau2 = 1``.  One :func:`_floor_jacobian` evaluation
+    gives ``G`` and its Jacobian, as ``d sum x / d mu = J mu`` by
+    stationarity.  At ``tau2(mu)`` the inner allocation has the duals
+    ``mu`` and the profile ``tau2 x``; its MI, rate and slopes are ``tau2``
+    times those at 1.
+
+    Newton steps in ``log mu`` start at ``(mu_r, mu_c)``, the single-floor
+    multipliers at ``T``; a step's largest component is capped at 0.7, and
+    a step that does not lower the larger normalized residual is halved.
+    Where both floors are met to ``1e4 * DUAL_TOL * max(1, floor)``, the
+    next Newton step would land within about the square of that, far inside
+    ``TIME_TOL * T / 2``, so it is not evaluated: the predicted slot is
+    ``tau2`` after it, to first order in ``sum x``, and the start is the
+    allocation evaluated last, from which the first probe's warm start
+    (:func:`_warm_start`) takes that step in the multipliers.  The search
+    gives up after two halvings in a row or ``PREDICT_CALLS`` evaluations,
+    as past the frontier, where ``G`` has no root.
+    """
+    r_r, r_c, total_time = params.mi_floor, params.rate_floor, params.total_time
+    tol_r = DUAL_TOL * max(1.0, r_r)
+    tol_c = DUAL_TOL * max(1.0, r_c)
+    base, step, best, halvings = (mu_r, mu_c), (0.0, 0.0), math.inf, 0
+    for _ in range(PREDICT_CALLS):
+        gamma, mi, rate, j_rr, j_rc, j_cc = yield mu_r, mu_c, 1.0
+        denom = float(np.add.reduce(gamma)) + budget_rate
+        tau2 = budget_rate * total_time / denom
+        e_r, e_c = tau2 * mi - r_r, tau2 * rate - r_c
+        residual = max(abs(e_r) / tol_r, abs(e_c) / tol_c)
+        if residual < best:
+            best, base, halvings = residual, (mu_r, mu_c), 0
+            # the Jacobian of G in log mu, over tau2: J - (mi, rate) (J mu)^T / denom
+            g_r, g_c = j_rr * mu_r + j_rc * mu_c, j_rc * mu_r + j_cc * mu_c
+            k_rr = (j_rr - mi * g_r / denom) * mu_r
+            k_rc = (j_rc - mi * g_c / denom) * mu_c
+            k_cr = (j_rc - rate * g_r / denom) * mu_r
+            k_cc = (j_cc - rate * g_c / denom) * mu_c
+            det = tau2 * (k_rr * k_cc - k_rc * k_cr)
+            if not (det != 0.0 and math.isfinite(det)):
+                return None
+            d_r = (k_rc * e_c - k_cc * e_r) / det
+            d_c = (k_cr * e_r - k_rr * e_c) / det
+            if residual <= 1e4:
+                # the last Newton step moves sum x by this, to first order
+                moved = g_r * mu_r * d_r + g_c * mu_c * d_c
+                jacobian = (tau2 * j_rr, tau2 * j_rc, tau2 * j_cc)
+                here = _inner_result(
+                    tau2 * gamma, mu_r, mu_c, tau2 * mi, tau2 * rate, tau2, params, "both", jacobian
+                )
+                return budget_rate * total_time / (denom + moved), here
+            cap = min(1.0, 0.7 / max(abs(d_r), abs(d_c)))
+            step = (cap * d_r, cap * d_c)
+        elif halvings == 2:
+            return None
+        else:
+            halvings += 1
+            step = (0.5 * step[0], 0.5 * step[1])
+        mu_r, mu_c = base[0] * math.exp(step[0]), base[1] * math.exp(step[1])
+    return None
+
+
 def _warm_start(prev: Optional[InnerResult], tau2: float, params: SystemParams):
     """The multiplier search's start at ``tau2``, from the inner allocation
     ``prev`` of the previous time-split probe (``None`` at the first).
@@ -660,6 +809,7 @@ def solve_with_allocation(
     params: SystemParams,
     chan: ChannelRealization,
     allocator: Callable[[float, object], tuple[np.ndarray, float, object]],
+    first: Optional[tuple] = None,
 ) -> Solution:
     """The time-split search :func:`_outer_steps` with one ``allocator``
     call per probe.
@@ -671,9 +821,10 @@ def solve_with_allocation(
     starts from, for example the inner allocation itself.  The first
     probe gets ``start=None``, every later one the ``start`` that the probe
     before returned.  A floor that no finite profile meets is reported as
-    infinite demand.
+    infinite demand.  ``first``, a predicted slot and the start of a probe
+    there, moves the first probe next to the slot (:func:`_outer_steps`).
     """
-    steps = _outer_steps(params, chan, _probe)
+    steps = _outer_steps(params, chan, _probe, first)
     return _run(steps, lambda probes: [allocator(t2, start) for _, t2, start in probes])
 
 
@@ -683,7 +834,7 @@ def _probe(params: SystemParams, tau2: float, start) -> Generator[tuple, tuple, 
 
 
 def _outer_steps(
-    params: SystemParams, chan: ChannelRealization, answer: Callable
+    params: SystemParams, chan: ChannelRealization, answer: Callable, first=None
 ) -> Generator[tuple, tuple, Solution]:
     """The time-split search of one instance, shared by every scheme and
     entry point: each probe runs the scheme's generator ``answer(params,
@@ -707,14 +858,28 @@ def _outer_steps(
     the profile; there the maximum-ratio covariance meets the harvest
     constraint with equality (:func:`_mrt_solution`).
 
+    ``first``, a prediction ``(tau2, start)`` of the slot
+    (:func:`_predicted_slot` for ``op``), moves the first probe to ``tau2 +
+    TIME_TOL * T / 2`` (at most ``T``), with that ``start``: a predictor
+    step whose corrector is this search, unchanged.  Where that probe's
+    margin is positive and finite with a positive slope, it lies right of
+    the largest root, and the margin, convex and rising there, is positive
+    on all of ``[tau2, T]``; so the Newton steps from there are as valid as
+    from ``T``.  A prediction within ``TIME_TOL * T / 2`` of the slot then
+    ends after one step, of ``TIME_TOL * T``, that crosses the root.  Where
+    that first probe certifies nothing (a margin that is not positive or
+    not finite, or a slope that is not positive), the search starts again
+    at ``T`` with no start, as it runs without a prediction.
+
     The instance is infeasible when the margin is positive on all of (0,
     T].  Each such exit is a certificate, since the tangent at an iterate
     bounds the margin from below left of it: the margin is not finite
     there, or its slope is not positive, or the tangent root is not
-    positive.  A near-tangent instance whose steps stall below ``TIME_TOL *
-    T`` with a positive margin ends on one of these (or after ``MAX_ITER``
-    steps) and counts as infeasible: no feasible interval wider than
-    ``TIME_TOL * T`` was passed.
+    positive; the first probe, at ``T`` or from a prediction, covers the
+    rest of (0, T].  A near-tangent instance whose steps stall below
+    ``TIME_TOL * T`` with a positive margin ends on one of these (or after
+    ``MAX_ITER`` steps) and counts as infeasible: no feasible interval
+    wider than ``TIME_TOL * T`` was passed.
     """
     _validate_instance(params, chan)
     if params.mi_floor == 0.0 and params.rate_floor == 0.0:
@@ -725,21 +890,30 @@ def _outer_steps(
 
     total_time = params.total_time
     xtol = TIME_TOL * total_time
-    tau2 = total_time
-    start = None
-    for steps in range(MAX_ITER + 1):
+    tau2, start, predicted = total_time, None, first is not None
+    if predicted:
+        tau2, start = min(first[0] + 0.5 * xtol, total_time), first[1]
+    steps = 0
+    while steps <= MAX_ITER:
         gamma, slope, start = yield from answer(params, tau2, start)
         total = float(np.sum(gamma))
         margin = total - budget_rate * (total_time - tau2)
-        if steps and margin <= 0.0:
-            return _mrt_solution(params, chan.h, tau2, gamma, total)
         slope += budget_rate
-        if not (math.isfinite(margin) and slope > 0.0):
+        rising = math.isfinite(margin) and slope > 0.0
+        if predicted:
+            predicted = False
+            if not (rising and margin > 0.0):
+                tau2, start = total_time, None  # the search from T
+                continue
+        elif steps and margin <= 0.0:
+            return _mrt_solution(params, chan.h, tau2, gamma, total)
+        if not rising:
             break
         step = max(margin / slope, xtol)
         if step >= tau2:
             break
         tau2 -= step
+        steps += 1
     return Solution.empty(SolveStatus.INFEASIBLE, params)
 
 
@@ -825,34 +999,45 @@ def solve(
 ) -> Solution:
     """Jointly optimal time split, subcarrier energies and beamformer.
 
-    Each inner allocation starts its multiplier search from the tangent
-    prediction of the previous ``tau2`` probe's answer (:func:`_warm_start`),
-    and gives the slope of the demand for the outer Newton step.
+    Where both floors bind at ``T``, the time-split search starts next to
+    a predicted slot (:func:`_predicted_slot`), else at ``T``.  Each inner
+    allocation starts its multiplier search from the tangent prediction of
+    the previous ``tau2`` probe's answer, or of the predicted slot's at the
+    first probe (:func:`_warm_start`), and gives the slope of the demand
+    for the outer Newton step.
     """
 
     def allocator(t2: float, prev: Optional[InnerResult]) -> tuple:
         res = inner_allocation(t2, chan, params, _warm_start(prev, t2, params))
         return res.gamma, res.slope, res
 
-    return solve_with_allocation(params, chan, allocator)
+    kernel = _jacobian_kernel(chan, params.delta_f)
+    first = _run(_predicted_slot(params, chan, links(chan, params.delta_f)), kernel)
+    return solve_with_allocation(params, chan, allocator, first)
 
 
 def _solve_batch(rows: list[SystemParams], chan: ChannelRealization) -> list:
     """:func:`solve` for rows that differ only in their floors, on one
-    channel, in lockstep (:func:`_run_batch`): each row's time-split search
-    runs its inner allocations' multiplier searches itself, each from the
-    start that :func:`solve` takes (:func:`_warm_start`), and one stacked
-    kernel call per round serves every row's next profile evaluation.  So
-    the rows never wait for each other between probes.  Returns each row's
-    ``Solution`` or the exception its solve raised, equal to what
-    :func:`solve` returns or raises for that row alone."""
+    channel, in lockstep (:func:`_run_batch`): each row runs its slot
+    prediction (:func:`_predicted_slot`) and then its time-split search,
+    whose inner allocations run their multiplier searches themselves, each
+    from the start that :func:`solve` takes (:func:`_warm_start`).  One
+    stacked kernel call per round serves every row's next profile
+    evaluation, for a prediction or a probe alike.  So the rows never wait
+    for each other between probes.  Returns each row's ``Solution`` or the
+    exception its solve raised, equal to what :func:`solve` returns or
+    raises for that row alone."""
     pair = links(chan, rows[0].delta_f)
 
     def allocation(params: SystemParams, tau2: float, prev) -> Generator:
         res = yield from _inner_steps(tau2, pair, params, _warm_start(prev, tau2, params))
         return res.gamma, res.slope, res
 
-    searches = [_outer_steps(params, chan, allocation) for params in rows]
+    def search(params: SystemParams) -> Generator:
+        first = yield from _predicted_slot(params, chan, pair)
+        return (yield from _outer_steps(params, chan, allocation, first))
+
+    searches = [search(params) for params in rows]
     return _run_batch(searches, _jacobian_kernel(chan, rows[0].delta_f))
 
 

@@ -217,6 +217,20 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=match):
             self.small_config(**bad)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("trials", 1.9), ("trials", 2.0), ("trials", True), ("master_seed", 2.5), ("master_seed", "3")],
+    )
+    def test_rejects_counts_that_are_not_integers(self, name, value):
+        # a float, a bool or a string is not rounded or parsed: it fails
+        # here, not inside run_sweep
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            self.small_config(**{name: value})
+
+    def test_accepts_numpy_integers(self):
+        cfg = self.small_config(trials=np.int64(1), master_seed=np.uint8(3))
+        assert len(run_sweep(cfg)) == 2 * len(cfg.sweep_values)
+
 
 class TestWriteCsv:
     def test_header_only_for_empty_rows(self, tmp_path):

@@ -91,7 +91,8 @@ def test_warm_probes_do_not_start_at_the_last_duals(monkeypatch):
     monkeypatch.setattr(wpirc.solver, "_floor_jacobian", spy_jacobian)
     monkeypatch.setattr(wpirc.solver, "inner_allocation", spy_inner)
     warm_both = 0
-    for seed in range(8):
+    # a predicted slot leaves one probe after the first on most channels
+    for seed in range(24):
         params, chan = shape_instance("solve-n1024", seed)
         requests.clear()
         results.clear()

@@ -15,14 +15,19 @@ message as the status of a call that raised, and NaN where an entry has no
 such value.  ``--compare OLD NEW`` reads two dumps and prints, for each set,
 the number of status mismatches, the largest relative difference of the
 values and the largest ``|d tau2| / T``: the check for a change that moves
-output bits on purpose.
+output bits on purpose.  It exits 1 when a status differs or a set has a
+different number of values (or is missing) in ``NEW``, so a script can
+gate on it.
 
 The ``counts`` line gives the work of the searches on the benchmark shapes:
 ``_floor_jacobian`` calls per ``solve`` on the 96 ``solve-n1024`` channels,
 Newton steps of ``Link.level`` per ``eq_solve`` on the same channels
-(``np.log1p`` calls in ``wpirc.solver``, one per step), and the stacked
+(``np.log1p`` calls in ``wpirc.solver``, one per step), the stacked
 ``_floor_jacobian`` calls of ``_solve_batch`` over the 24 ``sweep-n128``
-trials (master seeds 0-23, one trial each).  Each repeats exactly.
+trials (master seeds 0-23, one trial each) and the most that one of those
+trials makes, and the outcomes of the ``op`` slot prediction
+(``PredictorOutcomes``) on the ``solve-n1024`` solves and on the sweep
+trials' rows, ``-`` for a tree without one.  Each repeats exactly.
 
 The sets are the benchmark workloads' inputs plus a random set:
 
@@ -211,6 +216,62 @@ class CountingNumpy:
         return np.log1p(*args, **kwargs)
 
 
+class PredictorOutcomes:
+    """Outcomes of the slot prediction that starts each ``op`` time-split
+    search where both floors bind at ``T``: ``one_floor`` (one floor's own
+    slot meets the other floor), ``converged`` (the reduced multiplier
+    search), ``declined`` (no prediction) and ``restarted`` (a prediction
+    whose first probe certified nothing, so the search began again at
+    ``T``)."""
+
+    NAMES = ("one_floor", "converged", "declined", "restarted")
+
+    def __init__(self, solver):
+        self.solver = solver
+        # a tree without the prediction reports its outcomes as "-"
+        self.predict = getattr(solver, "_predicted_slot", None)
+        self.outer = solver._outer_steps
+        self.tally = dict.fromkeys(self.NAMES, 0)
+
+    def predicted_slot(self, params, chan, pair):
+        first = yield from self.predict(params, chan, pair)
+        if first is not None:
+            self.tally["one_floor" if first[1] is None else "converged"] += 1
+        elif params.mi_floor > 0.0 and params.rate_floor > 0.0:
+            single, _, _ = self.solver._single_floor(params.total_time, pair, params)
+            self.tally["declined"] += single is None
+        return first
+
+    def outer_steps(self, params, chan, answer, first=None):
+        probes = []
+
+        def spied(params, tau2, start):
+            probes.append(tau2)
+            return answer(params, tau2, start)
+
+        result = yield from self.outer(params, chan, spied, first)
+        # a time-split step only shortens the slot: a later probe at T is a restart
+        self.tally["restarted"] += params.total_time in probes[1:]
+        return result
+
+    def __enter__(self):
+        if self.predict is not None:
+            self.solver._predicted_slot = self.predicted_slot
+            self.solver._outer_steps = self.outer_steps
+        return self
+
+    def __exit__(self, *exc):
+        if self.predict is not None:
+            self.solver._predicted_slot, self.solver._outer_steps = self.predict, self.outer
+
+    def take(self) -> str:
+        if self.predict is None:
+            return "-"
+        line = "/".join(str(self.tally[n]) for n in self.NAMES)
+        self.tally = dict.fromkeys(self.NAMES, 0)
+        return line
+
+
 def counts(wpirc) -> str:
     """The ``counts`` line: the searches' work on the benchmark shapes."""
     solver = wpirc.solver
@@ -226,14 +287,19 @@ def counts(wpirc) -> str:
     base = wpirc.SystemParams(**PAPER_UNITS, n_subcarriers=128, n_antennas=5, rate_floor=150.0)
     rows = [replace(base, mi_floor=float(m)) for m in np.linspace(30.0, 250.0, 10)]
     numpy = CountingNumpy()
+    trial_calls = []
     solver._floor_jacobian = counted
     try:
-        for chan in channels:
-            wpirc.solve(params, chan)
-        per_solve, calls[0] = calls[0] / len(channels), 0
-        for seed in range(24):
-            chan = wpirc.sim.sample_channel(wpirc.sim.trial_seed(seed, 0), base, 10.0, 10.0)
-            solver._solve_batch(rows, chan)
+        with PredictorOutcomes(solver) as outcomes:
+            for chan in channels:
+                wpirc.solve(params, chan)
+            per_solve, calls[0] = calls[0] / len(channels), 0
+            solve_outcomes = outcomes.take()
+            for seed in range(24):
+                chan = wpirc.sim.sample_channel(wpirc.sim.trial_seed(seed, 0), base, 10.0, 10.0)
+                solver._solve_batch(rows, chan)
+                trial_calls.append(calls[0] - sum(trial_calls))
+            sweep_outcomes = outcomes.take()
         solver.np = numpy
         for chan in channels:
             wpirc.eq_solve(params, chan)
@@ -243,6 +309,9 @@ def counts(wpirc) -> str:
         f"counts floor_jacobian_per_solve {per_solve:.2f}"
         f" level_steps_per_eq_solve {numpy.log1p_calls / len(channels):.2f}"
         f" sweep_stacked_calls {calls[0]}"
+        f" sweep_trial_calls_max {max(trial_calls)}"
+        f" predictor({'/'.join(PredictorOutcomes.NAMES)})"
+        f" solve {solve_outcomes} sweep {sweep_outcomes}"
     )
 
 
@@ -256,21 +325,26 @@ def moved(a: float, b: float, relative: bool) -> float:
     return abs(a - b) / (max(abs(a), abs(b)) if relative else 1.0)
 
 
-def compare(old_path: Path, new_path: Path) -> None:
-    """Print, for each set of two dumps, how far the values moved."""
+def compare(old_path: Path, new_path: Path) -> bool:
+    """Print, for each set of two dumps, how far the values moved; return
+    whether every set has as many values in both and no status changed."""
     old, new = (json.loads(Path(p).read_text()) for p in (old_path, new_path))
+    same = True
     for name in old:
         a, b = old[name], new.get(name, [])
         if len(a) != len(b):
             print(f"{name}: {len(a)} values against {len(b)}")
+            same = False
             continue
         statuses = sum(x[0] != y[0] for x, y in zip(a, b))
+        same = same and not statuses
         rel = max((moved(x[1], y[1], True) for x, y in zip(a, b)), default=0.0)
         dtau = max((moved(x[2], y[2], False) for x, y in zip(a, b)), default=0.0)
         print(
             f"{name}: {len(a)} values, {statuses} status mismatches,"
             f" max rel value diff {rel:.3e}, max |d tau2|/T {dtau:.3e}"
         )
+    return same
 
 
 def main() -> None:
@@ -282,8 +356,7 @@ def main() -> None:
     )
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
-        return
+        sys.exit(0 if compare(*args.compare) else 1)
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     import wpirc
