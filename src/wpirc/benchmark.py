@@ -1,12 +1,12 @@
 """Equal-power benchmark scheme and the feasibility frontier.
 
-:func:`eq_solve` restricts the energy profile to one common level and
-shares the optimal scheme's time-split search.  :func:`feasibility_frontier`
-finds the largest floor either scheme can meet as the optimum of one
-concave program over the time split, a budget water-filling (or equal
-split) inside a bracketed search on its slope, instead of a search over
-the floor on the solvers' status.  It returns a lower bound within 1e-9
-bits.
+:func:`eq_solve` restricts the energy profile to one common level, which
+makes it a concave program in the total power alone.
+:func:`feasibility_frontier` finds the largest floor either scheme can
+meet as the optimum of one concave program over the time split, a budget
+water-filling (or equal split) inside a bracketed search on its slope,
+instead of a search over the floor on the solvers' status.  It returns a
+lower bound within 1e-9 bits.
 """
 from __future__ import annotations
 
@@ -16,61 +16,24 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import ChannelRealization, Solution, SystemParams, harvest_rate
+from .model import LN2, ChannelRealization, Solution, SolveStatus, SystemParams, harvest_rate
 # bound here so that the layer trace (bench/layertrace.py) can count the
 # rate evaluations and solves this module makes; it makes none
 from .model import comm_rate, radar_mi  # noqa: F401
 from .solver import solve  # noqa: F401
 from .solver import (
+    DUAL_TOL,
     MAX_ITER,
     TIME_TOL,
     Link,
     SolverError,
-    _outer_steps,
-    _probe,
-    _run_batch,
+    _mrt_solution,
     _validate_instance,
     inner_allocation,
     links,
-    solve_with_allocation,
 )
 
 __all__ = ["eq_solve", "feasibility_frontier"]
-
-def _equal_power_kernel(chan: ChannelRealization, delta_f: float) -> Callable:
-    """The equal-power scheme's answers to time-split probes on one channel:
-    for a list of ``(params, tau2, start)`` probes, one
-    :meth:`wpirc.solver.Link.level` call per link at each probe's floors,
-    split into one ``(gamma, slope, start)`` answer per probe: the profile
-    at ``tau2``, the slope of its total, and each link's tangent at its
-    level, from which the next probe's level of that link starts.  A probe's
-    ``start`` is the one its previous probe's answer carried, or ``None``.
-
-    The common energy is the larger of the two floors' levels; where they
-    tie, either floor's slope is a subgradient of the total.
-    """
-    n = chan.n_subcarriers
-    radar, comm = links(chan, delta_f)
-    cold = ((math.nan,) * 3,) * 2  # a tangent of NaNs leaves a level cold
-
-    def kernel(probes: list) -> list:
-        tau2, mi_floor, rate_floor = np.array(
-            [(t2, p.mi_floor, p.rate_floor) for p, t2, _ in probes]
-        ).T
-        starts = [start for *_, start in probes]
-        radar_start = comm_start = None
-        if any(starts):
-            radar_start, comm_start = np.array([s or cold for s in starts]).transpose(1, 2, 0)
-        gamma_r, slope_r, tangent_r = radar.level(mi_floor, tau2, radar_start)
-        gamma_c, slope_c, tangent_c = comm.level(rate_floor, tau2, comm_start)
-        levels = map(max, zip(gamma_r, slope_r), zip(gamma_c, slope_c))
-        tangents = zip(zip(*tangent_r), zip(*tangent_c))
-        return [
-            (np.full(n, gamma), n * float(slope), start)
-            for (gamma, slope), start in zip(levels, tangents)
-        ]
-
-    return kernel
 
 
 def eq_solve(
@@ -79,23 +42,59 @@ def eq_solve(
 ) -> Solution:
     """Solve the restriction with equal energy on every subcarrier.
 
-    Only the power profile is restricted; the time split and the
-    beamformer are optimized exactly as in :func:`wpirc.solver.solve`,
-    with the Newton levels of :meth:`wpirc.solver.Link.level` as the
-    allocator.
+    The time split and the beamformer stay optimal.  With the common power
+    ``S / N_c`` and the budget binding, each floor holds from a least total
+    power ``S_i`` (:meth:`wpirc.solver.Link.spread_slot`) up to the larger
+    root of its concave margin, so the optimum is ``S* = max(S_r, S_c)``
+    if both floors hold there, each to ``DUAL_TOL * max(1, floor)``.
     """
-    kernel = _equal_power_kernel(chan, params.delta_f)
-    return solve_with_allocation(params, chan, lambda t2, start: kernel([(params, t2, start)])[0])
+    return _equal_power_rows([params], chan)[0]
 
 
 def _eq_solve_batch(rows: list[SystemParams], chan: ChannelRealization) -> list:
     """:func:`eq_solve` for rows that differ only in their floors, on one
-    channel, in lockstep (:func:`wpirc.solver._run_batch`): one stacked
-    kernel call per round serves every row's time-split probe.  Returns
-    each row's ``Solution`` or the exception its solve raised, equal to
-    what :func:`eq_solve` returns or raises for that row alone."""
-    searches = [_outer_steps(params, chan, _probe) for params in rows]
-    return _run_batch(searches, _equal_power_kernel(chan, rows[0].delta_f))
+    channel, in one pass over the rows' floors, each row bit for bit as
+    alone.  Returns each row's ``Solution``, or for every row the exception
+    that each row's solve raises alone: only the shared channel can fail."""
+    try:
+        return _equal_power_rows(rows, chan)
+    except Exception as exc:
+        return [exc] * len(rows)
+
+
+def _equal_power_rows(rows: list[SystemParams], chan: ChannelRealization) -> list:
+    """The equal-power solutions of rows that differ only in their floors."""
+    for params in rows:
+        _validate_instance(params, chan)
+    params = rows[0]
+    total_time, n = params.total_time, params.n_subcarriers
+    budget_rate = harvest_rate(params, chan)
+    met = [False] * len(rows)
+    if budget_rate > 0.0:
+        pair = links(chan, params.delta_f)
+        floors = np.array([(p.mi_floor, p.rate_floor) for p in rows]).T
+        least = [link.spread_slot(f, budget_rate, total_time) for link, f in zip(pair, floors)]
+        total = np.maximum(*least)
+        slot = np.minimum(
+            budget_rate * total_time / (total + budget_rate), total_time - TIME_TOL * total_time
+        )
+        x = total / n
+        met = np.isfinite(total)
+        with np.errstate(over="ignore"):  # x s past the float range: infinite bits
+            for link, floor in zip(pair, floors):
+                bits = link.scale / LN2 * slot * np.add.reduce(np.log1p(x[:, None] * link.snr), 1)
+                met &= bits >= floor - DUAL_TOL * np.maximum(1.0, floor)
+    solutions = []
+    for i, p in enumerate(rows):
+        if p.mi_floor == 0.0 and p.rate_floor == 0.0:
+            solutions.append(Solution.empty(SolveStatus.ZERO_DEMAND, p))
+        elif not met[i]:
+            solutions.append(Solution.empty(SolveStatus.INFEASIBLE, p))
+        else:
+            tau2 = float(slot[i])
+            gamma = np.full(n, tau2 * float(x[i]))
+            solutions.append(_mrt_solution(p, chan.h, tau2, gamma, float(np.sum(gamma))))
+    return solutions
 
 
 def _concave_max(f: Callable, total_time: float) -> float:

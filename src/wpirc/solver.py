@@ -196,9 +196,9 @@ class Link:
         level = 2.0**exponent
         return np.maximum(level - inv, 0.0), level * LN2 / self.scale
 
-    def level(self, floor, tau2, start=None) -> tuple:
-        """Smallest common per-subcarrier energy meeting ``floor``, its slope
-        in ``tau2``, and the tangent from which the next level may start.
+    def level(self, floor, tau2) -> tuple:
+        """Smallest common per-subcarrier energy meeting ``floor``, and its
+        slope in ``tau2``.
 
         The common power ``x = gamma / tau2`` solves ``F(u) = sum log1p(e^u
         s) = target`` in ``u = log x``, with ``target = floor ln 2 / (scale
@@ -206,34 +206,22 @@ class Link:
         log(e^u s) <= F(u)`` makes ``u0 = (target - sum log s) / N+`` an
         upper bound on the root, and ``log1p(z) >= 2z / (2 + z)`` gives ``F
         >= 2xS / (2 + x s_max)`` with ``S = sum s``, so ``x = 2 target / (2S
-        - target s_max)`` is one too where it is positive.  ``start``, the
-        tangent ``(u, t, F'(u))`` that a level at another target ``t``
-        returned, gives a third: ``F`` is convex, so ``u + (target - t) /
-        F'(u)``, the root of its tangent, lies at or above the root, and
-        where the target fell ``u`` itself does.  The iteration starts at the
-        smallest bound.  Newton steps from there fall monotonically and every
-        iterate meets the floor.  Rounding in the level that the tangent came
-        from can put the third bound below the root; a first iterate short of
-        the target then steps up past the root (convexity again), or to the
-        smaller of the first two bounds if that is lower, and goes on from
-        there.  As ``F'' <= F'``, a step of size ``d`` leaves an error
-        under ``d^2 / 2``, so the iteration ends after a step under 1e-8, the
-        rounding-level step up from a gap just below zero included;
+        - target s_max)`` is one too where it is positive.  Newton steps
+        from the smaller bound fall monotonically, every iterate meeting the
+        floor.  As ``F'' <= F'``, a step of size ``d`` leaves an error under
+        ``d^2 / 2``, so the iteration ends after a step under 1e-8;
         ``MAX_ITER`` caps the steps.  Where ``e^u`` or ``e^u s`` overflows at
-        the smaller of the first two bounds, no finite energy meets the
-        floor: the level is then ``inf``, with slope ``-inf``, as it is for a
-        positive target on a link with no positive SNR.  A target below
-        ``S`` times the smallest normal float, a zero floor's included, has a
-        level below the float range: it reads 0, with slope 0.  Implicit
-        differentiation of ``F(u) = target`` gives the slope ``x (1 - target
-        / F'(u))``, with ``F'`` taken at the returned level.
+        that bound, no finite energy meets the floor: the level is then
+        ``inf``, with slope ``-inf``, as it is for a positive target on a
+        link with no positive SNR.  A target below ``S`` times the smallest
+        normal float, a zero floor's included, has a level below the float
+        range: it reads 0, with slope 0.  Implicit differentiation of ``F(u)
+        = target`` gives the slope ``x (1 - target / F'(u))``, with ``F'``
+        taken at the returned level.
 
         ``floor`` and ``tau2`` may be arrays: every element of their
         broadcast runs the same iteration at once and stops on its own rule,
-        and the level and slope take its shape.  The tangent's parts are
-        flat, one entry per element, as ``start`` takes them; a NaN tangent,
-        as is returned where the level is ``inf``, leaves its element to the
-        first two bounds.
+        and the level and slope take its shape.
         """
         s, total, s_max, log_sum, u_max = self._level_sums
         target = floor * LN2 / self.scale / np.asarray(tau2, dtype=float)
@@ -241,8 +229,7 @@ class Link:
         if not s.size:
             unreachable = target > 0.0
             gamma = np.where(unreachable, math.inf, 0.0)
-            nan = np.full(np.size(target), math.nan)
-            return gamma[()], np.where(unreachable, -math.inf, 0.0)[()], (nan, nan, nan)
+            return gamma[()], np.where(unreachable, -math.inf, 0.0)[()]
         target = np.reshape(target, -1)
         below = target < _TINY * total
         # the iteration runs on a stand-in where the level reads 0
@@ -253,13 +240,6 @@ class Link:
         cold = np.minimum(u0, -np.log(inv, out=-u0, where=inv > 0.0))
         finite = cold < u_max
         u = np.where(finite, cold, 0.0)  # kept harmless while the finite levels iterate
-        warm = None
-        if start is not None:
-            u_t, t_t, grad_t = start
-            with np.errstate(all="ignore"):
-                tangent = u_t + np.maximum(target - t_t, 0.0) / grad_t
-            warm = finite & (tangent < cold)
-            u = np.where(warm, tangent, u)
         live = finite
         for _ in range(MAX_ITER):
             xs = np.exp(u)[:, None] * s
@@ -269,21 +249,12 @@ class Link:
             step = (np.add.reduce(np.log1p(xs), 1) - target) / grad * live
             u -= step
             live = step > 1e-8
-            if warm is not None:
-                # a first iterate short of the target stepped up past the
-                # root: it goes on from there, or from the cold bound if lower
-                short = warm & (step < -1e-8)
-                if short.any():
-                    u = np.where(short, np.minimum(u, cold), u)
-                    live |= short
-                warm = None
         x = np.where(below, 0.0, np.exp(u))
         # a level near the float limit can have a slope past it: that reads -inf
         with np.errstate(over="ignore"):
             gamma = np.where(finite, x, math.inf).reshape(shape) * tau2
             slope = np.where(finite, x * (1.0 - target / grad), -math.inf)
-        tangent = (np.where(finite, u, math.nan), target, grad)
-        return gamma[()], slope.reshape(shape)[()], tangent
+        return gamma[()], slope.reshape(shape)[()]
 
     def pour(self, total: float) -> tuple[float, float, np.ndarray]:
         """Water-filling of the total power ``total > 0``: ``(G, dG/dtotal,
@@ -308,6 +279,43 @@ class Link:
         y = x * self.snr
         grad = float(np.add.reduce(self.snr / (1.0 + y))) / (n * LN2)
         return float(np.add.reduce(np.log1p(y))) / LN2, grad, x
+
+    def spread_slot(self, floor: np.ndarray, budget_rate: float, total_time: float) -> np.ndarray:
+        """Least total power ``S`` whose even split meets each floor of the
+        array ``floor`` with the whole budget spent; NaN where none does.
+
+        The budget binds at ``tau2 = B T / (S + B)``, capped at ``T -
+        TIME_TOL T`` (there the budget is slack), so the floor holds where
+        ``h(S) = scale B T G(S) - floor max(S + B, c) >= 0``, with ``G`` the
+        bits of :meth:`spread` and ``c = B T / (T - TIME_TOL T)``.  ``h`` is
+        concave with ``h(0) < 0``: Newton steps from 0 rise monotonically to
+        its smaller root, and end after a step under 1e-13 relative.  A slope
+        that is not positive, a step that is not finite, or ``MAX_ITER``
+        steps (a near-tangent ``h``) mean that it has none.  Each element
+        iterates as it would alone.
+        """
+        s = self.snr / self.snr.size
+        coef = self.scale / LN2 * budget_rate * total_time
+        cap = budget_rate * total_time / (total_time - TIME_TOL * total_time)
+        total = np.zeros(np.shape(floor))
+        live = np.flatnonzero(floor > 0.0)
+        # x s past the float range reads inf: infinite bits, no root left of S
+        with np.errstate(over="ignore"):
+            for _ in range(MAX_ITER):
+                if not live.size:
+                    return total
+                S, r = total[live], floor[live]
+                y = S[:, None] * s
+                shifted = S + budget_rate
+                h = coef * np.add.reduce(np.log1p(y), 1) - r * np.maximum(shifted, cap)
+                slope = coef * np.add.reduce(s / (1.0 + y), 1) - r * (shifted > cap)
+                step = -h / np.where(slope > 0.0, slope, math.nan)
+                S = S + step
+                S[~np.isfinite(S)] = math.nan  # no root
+                total[live] = S
+                live = live[step > 1e-13 * S]
+        total[live] = math.nan
+        return total
 
 
 def links(chan: ChannelRealization, delta_f: float) -> tuple[Link, Link]:
@@ -836,15 +844,13 @@ def _probe(params: SystemParams, tau2: float, start) -> Generator[tuple, tuple, 
 def _outer_steps(
     params: SystemParams, chan: ChannelRealization, answer: Callable, first=None
 ) -> Generator[tuple, tuple, Solution]:
-    """The time-split search of one instance, shared by every scheme and
-    entry point: each probe runs the scheme's generator ``answer(params,
+    """The time-split search of one instance, shared by every entry point
+    of the optimal scheme: each probe runs the generator ``answer(params,
     tau2, start)``, yielding what it yields, and takes its return ``(gamma,
-    slope, start)``, the scheme's allocation at ``tau2``
+    slope, start)``, the allocation at ``tau2``
     (:func:`solve_with_allocation`), with ``start`` passed on to the next
-    probe (``None`` at the first).  For ``op``, ``start`` is the inner
-    allocation, from which :func:`_warm_start` predicts the next probe's
-    multipliers; for ``eq`` it is each link's tangent at its level, from
-    which the next level starts (:meth:`Link.level`).
+    probe (``None`` at the first).  ``start`` is the inner allocation, from
+    which :func:`_warm_start` predicts the next probe's multipliers.
 
     The demand ``sum(gamma)`` is convex in ``tau2``, so the margin ``phi(tau2)
     = sum(gamma) - B (T - tau2)`` is too, with ``B = eta ||h||^2 P``

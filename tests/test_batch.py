@@ -1,12 +1,13 @@
 """A sweep trial's rows solved in lockstep equal the same rows solved alone.
 
-Every entry point runs each row's own time-split search
-(``solver._outer_steps``).  ``_eq_solve_batch`` answers a round of the
-rows' probes with one stacked equal-power level call.  In ``_solve_batch``
-each row's search runs its inner allocations itself, and one stacked
-profile call per round serves every row's next multiplier step; ``solve``
-and ``eq_solve`` answer one probe at a time.  So each row must come out bit
-for bit as ``solve``/``eq_solve`` give it, errors included.
+Every ``op`` entry point runs each row's own time-split search
+(``solver._outer_steps``).  In ``_solve_batch`` each row's search runs its
+inner allocations itself, and one stacked profile call per round serves
+every row's next multiplier step; ``solve`` answers one probe at a time.
+``_eq_solve_batch`` runs the Newton iteration on the total power over an
+array of the rows' floors, and ``eq_solve`` runs it on one row.  So each
+row must come out bit for bit as ``solve``/``eq_solve`` give it, errors
+included.
 """
 import math
 import warnings

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,14 +13,17 @@ from wpirc import (
     SolverError,
     check_constraints,
     eq_solve,
+    equal_power_demand_bound,
     feasibility_frontier,
     kkt_certificate,
     solve,
 )
-from wpirc.solver import MAX_ITER
+from wpirc.benchmark import _eq_solve_batch
+from wpirc.solver import MAX_ITER, TIME_TOL
 from wpirc.sim import sample_channel
 
-from conftest import make_params
+from conftest import T_TOTAL, make_params
+from test_time_split import reference_eq_solve
 
 
 def bisection_frontier(params, chan, target, scheme="op", tol_bits=0.1):
@@ -122,6 +126,40 @@ class TestEqSolve:
         assert np.allclose(sol.gamma, sol.gamma[0])
         assert kkt_certificate(params, chan, sol).valid
 
+    @pytest.mark.parametrize(
+        "floors",
+        [(5e-324, 0.0), (0.0, 5e-324), (1e-310, 0.0), (0.0, 1e-310), (0.0, 1e-320), (5e-324, 5e-324)],
+    )
+    def test_subnormal_floors_keep_a_harvest_slot(self, floors):
+        # the least total power underflows to 0 or to a subnormal, where the
+        # budget-binding slot B T / (S + B) is T itself and leaves no time to
+        # harvest; the slot stops TIME_TOL * T short of T instead, and the
+        # floors, met to DUAL_TOL absolutely, read met at zero power
+        params = make_params(mi_floor=floors[0], rate_floor=floors[1])
+        chan = ChannelRealization(h=[1.0, 0.5], radar_snr=[1.0, 3.0], comm_snr=[2.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = eq_solve(params, chan)
+            (row,) = _eq_solve_batch([params], chan)
+        for got in (sol, row):
+            assert got.status is SolveStatus.OPTIMAL
+            assert 0.0 < got.tau1 and got.tau2 <= T_TOTAL - TIME_TOL * T_TOTAL
+            assert check_constraints(params, chan, got).all_satisfied
+
+    def test_each_floor_met_alone_but_not_both(self):
+        # each floor holds between the two roots of its concave margin in the
+        # total power; here the larger of the two least powers lies past the
+        # other floor's interval, so both floors cannot hold at once
+        params = make_params()
+        chan = sample_channel(7948, params, 14.694645464938588, 4.520173924552942)
+        params = replace(params, mi_floor=29.753742917773152, rate_floor=13.899205670157595)
+        rows = [params, replace(params, rate_floor=0.0), replace(params, mi_floor=0.0)]
+        want = [SolveStatus.INFEASIBLE, SolveStatus.OPTIMAL, SolveStatus.OPTIMAL]
+        assert [eq_solve(p, chan).status for p in rows] == want
+        assert [sol.status for sol in _eq_solve_batch(rows, chan)] == want
+        assert reference_eq_solve(params, chan).status is SolveStatus.INFEASIBLE
+        assert solve(params, chan).status is SolveStatus.OPTIMAL
+
 
 def snr_vector(data, nc):
     """``nc`` SNRs from 1e-6 to 1e6, a drawn share of them (all of them at
@@ -171,6 +209,31 @@ def test_solve_dominates_eq_on_zero_snr_subcarriers_and_short_harvests(
     if op.status is SolveStatus.OPTIMAL:
         assert check_constraints(params, chan, op, tol=1e-6).all_satisfied
         assert kkt_certificate(params, chan, op).valid
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    data=st.data(),
+    nc=st.sampled_from([1, 2, 3, 16]),
+    mi_floor=floor_bits,
+    rate_floor=floor_bits,
+    seed=st.integers(0, 2**16),
+)
+def test_eq_solve_within_the_grid_bound_and_above_solve(data, nc, mi_floor, rate_floor, seed):
+    """Two computations of the equal-power restriction agree: wherever
+    ``eq_solve`` is optimal its demand is at most the grid minimum of the
+    same restriction (``equal_power_demand_bound``, by ``Link.level`` on
+    200 time splits), and its energy is at least the optimal scheme's.
+    Floors and SNRs as in the test above."""
+    params = make_params(n_subcarriers=nc, n_antennas=3, mi_floor=mi_floor, rate_floor=rate_floor)
+    h = np.random.default_rng(seed).standard_normal((3, 2)) @ np.array([1.0, 1j])
+    chan = ChannelRealization(h=h, radar_snr=snr_vector(data, nc), comm_snr=snr_vector(data, nc))
+    eq = eq_solve(params, chan)
+    assume(eq.status is SolveStatus.OPTIMAL)
+    assert float(np.sum(eq.gamma)) <= equal_power_demand_bound(params, chan) * (1 + 1e-9)
+    op = solve(params, chan)
+    assert op.status is SolveStatus.OPTIMAL
+    assert eq.energy >= op.energy * (1 - 1e-6)
 
 
 class TestFeasibilityFrontier:
@@ -263,7 +326,7 @@ class TestFeasibilityFrontier:
         def refuse(*args, **kwargs):
             raise AssertionError("frontier called a solver")
 
-        for name in ("solve", "solve_with_allocation", "inner_allocation"):
+        for name in ("solve", "eq_solve", "inner_allocation"):
             monkeypatch.setattr(wpirc.benchmark, name, refuse)
         for target in ("mi", "rate"):
             params, chans = frontier_pool(target)
@@ -406,20 +469,25 @@ class TestFeasibilityFrontier:
     data=st.data(),
     n_subcarriers=st.sampled_from([1, 2, 3, 16]),
     target=st.sampled_from(["mi", "rate"]),
-    share=st.one_of(st.just(0.0), st.floats(0.01, 0.99), st.floats(1.01, 1.5)),
+    share=st.one_of(
+        st.just(0.0),
+        st.floats(0.0, 0.01, exclude_min=True),
+        st.floats(0.01, 0.99),
+        st.floats(1.01, 1.5),
+    ),
 )
 def test_frontier_brackets_the_solvers(data, n_subcarriers, target, share):
     """Both schemes' solvers are feasible 1e-6 bits below the frontier and
     infeasible 1e-3 bits above it, and eq never beats op.
 
     SNRs span 1e-2..1e3 and the other floor is 0 or a share of its op
-    reach (the other target's frontier at floor 0) up to 1.5 times it.
-    Kept out: shares within 1 % of 1, where the other floor's time-split
-    interval shrinks to a point and the frontier and the solvers disagree
-    at the level of their tolerances; and positive shares below 1 %, whose
-    floors run down to subnormals, where eq_solve's common level divides
-    by zero.  The SNR range keeps the known-limit region of the multiplier
-    searches (floors near 1e-9 bits on SNRs near 1e-4) out as well."""
+    reach (the other target's frontier at floor 0) up to 1.5 times it; the
+    shares below 1 % run down to subnormal floors.  Kept out: shares within
+    1 % of 1, where the other floor's time-split interval shrinks to a
+    point and the frontier and the solvers disagree at the level of their
+    tolerances.  The SNR range keeps the known-limit region of the
+    multiplier searches (floors near 1e-9 bits on SNRs near 1e-4) out as
+    well."""
     snrs = st.lists(st.floats(1e-2, 1e3), min_size=n_subcarriers, max_size=n_subcarriers)
     chan = ChannelRealization(h=[1.0, 0.5], radar_snr=data.draw(snrs), comm_snr=data.draw(snrs))
     params = make_params(n_subcarriers=n_subcarriers)

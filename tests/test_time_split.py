@@ -7,7 +7,10 @@ a brentq to the largest root, and a step back to its feasible side.
 and a brentq on the rate.  Both evaluate the margin or the rate many more
 times than the Newton iterations that took their place.  ``envelope_slope``
 is the former demand slope, two log sums over the profile, which the
-inner allocation's homogeneity slope replaced.
+inner allocation's homogeneity slope replaced.  ``reference_eq_solve`` is
+the former ``eq_solve``: the Newton time-split search with each probe
+answered by the two links' equal-power levels (``Link.level``), which the
+Newton on the total power replaced.
 """
 import math
 import sys
@@ -31,10 +34,9 @@ from wpirc import (
     solve,
 )
 import wpirc.solver
-from wpirc.benchmark import _equal_power_kernel
 from wpirc.model import LN2
 from wpirc.sim import sample_channel
-from wpirc.solver import MAX_ITER, TIME_TOL, Link, solve_with_allocation
+from wpirc.solver import MAX_ITER, TIME_TOL, Link, links, solve_with_allocation
 
 from conftest import T_TOTAL, make_params
 from test_multiplier_search import SHAPES, shape_instance
@@ -45,11 +47,21 @@ def _common_gamma(snr, floor, tau2, delta_f, half):
     return Link(snr, (0.5 if half else 1.0) * delta_f).level(floor, tau2)[:2]
 
 
-def _equal_power_allocation(tau2, chan, params, start=None):
+def _equal_power_allocation(tau2, chan, params):
     """Equal-power profile at ``tau2``, the slope of its total, and the
-    next probe's start (always None)."""
-    kernel = _equal_power_kernel(chan, params.delta_f)
-    return kernel([(params, tau2, start)])[0]
+    next probe's start (always None): the larger of the two links' levels,
+    where they tie either floor's slope, a subgradient of the total."""
+    radar, comm = links(chan, params.delta_f)
+    level = max(radar.level(params.mi_floor, tau2), comm.level(params.rate_floor, tau2))
+    n = params.n_subcarriers
+    return np.full(n, level[0]), n * float(level[1]), None
+
+
+def reference_eq_solve(params, chan):
+    """The equal-power scheme by the time-split search over its levels."""
+    return solve_with_allocation(
+        params, chan, lambda t2, start: _equal_power_allocation(t2, chan, params)
+    )
 
 
 XTOL = TIME_TOL * T_TOTAL
@@ -243,7 +255,7 @@ def op_allocator(params, chan, calls):
 def eq_allocator(params, chan, calls):
     def allocator(t2, start):
         calls.append(t2)
-        return _equal_power_allocation(t2, chan, params, start)
+        return _equal_power_allocation(t2, chan, params)
 
     return allocator
 

@@ -1,41 +1,33 @@
 """The warm starts of the time-split probes against cold references.
 
-Each probe of the time-split search starts from what the probe before it
-returned: the ``op`` multiplier search from a Newton step predicted at the
-new ``tau2`` (``_warm_start``), and each ``eq`` level from the tangent of
-the level before (``Link.level``).  ``cold_solve`` answers every probe from
-scratch instead, as the search did before it carried any start: the inner
-allocation with no start, and the levels with no tangent.
+Each ``op`` probe of the time-split search starts its multiplier search
+from a Newton step predicted at the new ``tau2`` from what the probe
+before it returned (``_warm_start``).  ``cold_solve`` answers every probe
+from scratch instead, as the search did before it carried any start.  For
+``eq``, which has no time-split search, it is the search over the cold
+equal-power levels that ``eq_solve`` ran before (``reference_eq_solve``).
 """
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wpirc.solver
 from wpirc import ChannelRealization, SolveStatus, eq_solve, inner_allocation, solve
-from wpirc.benchmark import _equal_power_kernel
-from wpirc.solver import TIME_TOL, Link, solve_with_allocation
+from wpirc.solver import TIME_TOL, solve_with_allocation
 
 from conftest import T_TOTAL, make_params
 from test_multiplier_search import shape_instance
+from test_time_split import reference_eq_solve
 
 
 def cold_solve(params, chan, scheme):
-    """``solve`` or ``eq_solve`` with no start at any probe."""
-    if scheme == "op":
+    """``solve`` with no start at any probe, or the former ``eq_solve``."""
+    if scheme == "eq":
+        return reference_eq_solve(params, chan)
 
-        def allocator(t2, start):
-            res = inner_allocation(t2, chan, params)
-            return res.gamma, res.slope, None
-
-    else:
-        kernel = _equal_power_kernel(chan, params.delta_f)
-
-        def allocator(t2, start):
-            return kernel([(params, t2, None)])[0]
+    def allocator(t2, start):
+        res = inner_allocation(t2, chan, params)
+        return res.gamma, res.slope, None
 
     return solve_with_allocation(params, chan, allocator)
 
@@ -102,24 +94,3 @@ def test_warm_probes_do_not_start_at_the_last_duals(monkeypatch):
                 warm_both += 1
                 assert requests[first] != (prev.duals.lambda_r, prev.duals.lambda_c)
     assert warm_both >= 16
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(
-    snr=st.lists(st.floats(min_value=-60.0, max_value=60.0), min_size=1, max_size=16),
-    floor=st.floats(min_value=-3.0, max_value=4.0),
-    tau2=st.floats(min_value=-6.0, max_value=0.0),
-    below=st.floats(min_value=1e-12, max_value=10.0),
-    half=st.booleans(),
-)
-def test_a_third_bound_below_the_root_still_meets_the_floor(snr, floor, tau2, below, half):
-    link = Link(10.0 ** (np.array(snr) / 10.0), (0.5 if half else 1.0) * 2.5e5)
-    floor, tau2 = 10.0**floor, T_TOTAL * 10.0**tau2
-    gamma, slope, (u, target, grad) = link.level(floor, tau2)
-    # a tangent through a point ``below`` left of the root at its target
-    start = (u - below, target, grad)
-    warm_gamma, warm_slope, _ = link.level(floor, tau2, start)
-    assert warm_gamma == pytest.approx(gamma, rel=1e-12)
-    assert warm_slope == pytest.approx(slope, rel=1e-9)
-    if 0.0 < gamma < math.inf:
-        assert link.bits(warm_gamma / tau2, tau2) >= floor * (1.0 - 1e-12)

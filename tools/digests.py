@@ -21,8 +21,9 @@ gate on it.
 
 The ``counts`` line gives the work of the searches on the benchmark shapes:
 ``_floor_jacobian`` calls per ``solve`` on the 96 ``solve-n1024`` channels,
-Newton steps of ``Link.level`` per ``eq_solve`` on the same channels
-(``np.log1p`` calls in ``wpirc.solver``, one per step), the stacked
+Newton steps on the total power per ``eq_solve`` on the same channels, both
+links together (``np.log1p`` calls in ``wpirc.solver``, one per step of
+``Link.spread_slot``), the stacked
 ``_floor_jacobian`` calls of ``_solve_batch`` over the 24 ``sweep-n128``
 trials (master seeds 0-23, one trial each) and the most that one of those
 trials makes, and the outcomes of the ``op`` slot prediction
@@ -307,7 +308,7 @@ def counts(wpirc) -> str:
         solver._floor_jacobian, solver.np = jacobian, np
     return (
         f"counts floor_jacobian_per_solve {per_solve:.2f}"
-        f" level_steps_per_eq_solve {numpy.log1p_calls / len(channels):.2f}"
+        f" slot_steps_per_eq_solve {numpy.log1p_calls / len(channels):.2f}"
         f" sweep_stacked_calls {calls[0]}"
         f" sweep_trial_calls_max {max(trial_calls)}"
         f" predictor({'/'.join(PredictorOutcomes.NAMES)})"
