@@ -28,6 +28,7 @@ from .solver import (
     Link,
     SolverError,
     _mrt_solution,
+    _spread_slots,
     _validate_instance,
     inner_allocation,
     links,
@@ -44,7 +45,7 @@ def eq_solve(
 
     The time split and the beamformer stay optimal.  With the common power
     ``S / N_c`` and the budget binding, each floor holds from a least total
-    power ``S_i`` (:meth:`wpirc.solver.Link.spread_slot`) up to the larger
+    power ``S_i`` (:func:`wpirc.solver._spread_slots`) up to the larger
     root of its concave margin, so the optimum is ``S* = max(S_r, S_c)``
     if both floors hold there, each to ``DUAL_TOL * max(1, floor)``.
     """
@@ -73,8 +74,7 @@ def _equal_power_rows(rows: list[SystemParams], chan: ChannelRealization) -> lis
     if budget_rate > 0.0:
         pair = links(chan, params.delta_f)
         floors = np.array([(p.mi_floor, p.rate_floor) for p in rows]).T
-        least = [link.spread_slot(f, budget_rate, total_time) for link, f in zip(pair, floors)]
-        total = np.maximum(*least)
+        total = np.maximum(*_spread_slots(pair, floors, budget_rate, total_time))
         slot = np.minimum(
             budget_rate * total_time / (total + budget_rate), total_time - TIME_TOL * total_time
         )

@@ -2,7 +2,8 @@
 
 Everything in this module is a pure function of its (immutable) inputs:
 harvested energy at the transmitter, radar mutual information and
-communication rate of the OFDM waveform, and constraint bookkeeping.
+communication rate of the OFDM waveform, and constraint bookkeeping.  A
+channel holds read-only copies of its arrays.
 """
 from __future__ import annotations
 
@@ -76,7 +77,7 @@ class SystemParams:
             raise ValueError("symbol_duration must not exceed total_time")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelRealization:
     """One random draw: station-to-transmitter gains plus per-subcarrier SNRs.
 
@@ -84,6 +85,11 @@ class ChannelRealization:
     ``radar_snr`` and ``comm_snr`` are the effective per-subcarrier SNR
     gains of the sensing and data links (everything that multiplies the
     per-subcarrier power inside the two log terms).
+
+    The fields are read-only copies of the given arrays, and a channel is
+    equal only to itself and hashed by identity, so the solver can keep the
+    tables of the most recent channel for every entry point
+    (:func:`wpirc.solver.links`).
     """
 
     h: np.ndarray
@@ -91,9 +97,10 @@ class ChannelRealization:
     comm_snr: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "h", np.asarray(self.h, dtype=complex))
-        object.__setattr__(self, "radar_snr", np.asarray(self.radar_snr, dtype=float))
-        object.__setattr__(self, "comm_snr", np.asarray(self.comm_snr, dtype=float))
+        for name, dtype in (("h", complex), ("radar_snr", float), ("comm_snr", float)):
+            value = np.array(getattr(self, name), dtype=dtype)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
         if self.h.ndim != 1 or self.radar_snr.ndim != 1 or self.comm_snr.ndim != 1:
             raise ValueError("channel fields must be one-dimensional")
         if self.radar_snr.shape != self.comm_snr.shape:

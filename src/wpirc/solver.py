@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, Generator, Optional
 
 import numpy as np
@@ -78,8 +78,9 @@ DUAL_TOL = 1e-10  # absolute, on normalized constraint residuals
 TIME_TOL = 1e-9  # relative to total_time
 
 
-def _gamma_profile(lambda_r, lambda_c, v, w, tau2, delta_f) -> np.ndarray:
-    """Stationary per-subcarrier energies for fixed multipliers.
+def _gamma_profile(lambda_r, lambda_c, tau2, kernel: _Kernel) -> np.ndarray:
+    """Stationary per-subcarrier energies for fixed multipliers, on the
+    gains ``v``, ``w`` and subcarrier spacing ``delta_f`` of ``kernel``.
 
     Solves ``1 = A/(1 + x v) + B/(1 + x w)`` for ``x = gamma / tau2`` on
     each subcarrier, with ``A = lambda_r delta_f v / (2 ln 2)`` and
@@ -89,16 +90,17 @@ def _gamma_profile(lambda_r, lambda_c, v, w, tau2, delta_f) -> np.ndarray:
     each; every subcarrier is computed alone, so a row does not depend on
     the others.
     """
+    v, w, delta_f = kernel.v, kernel.w, kernel.delta_f
+    both_gains, one_gain, a, two_a, v_plus_w, _, _ = kernel.tables
     A = lambda_r * delta_f * v / (2.0 * LN2)
     B = lambda_c * delta_f * w / LN2
     c = 1.0 - A - B
     active = c < 0.0
-    both = active & (v > 0) & (w > 0)
+    both = active & both_gains
     # one gain zero: its term vanishes, and 1 = A/(1 + x v) or B/(1 + x w)
-    single = active & ~both & (v + w > 0)
+    single = active & one_gain
 
-    a = v * w
-    b = v + w - A * w - B * v
+    b = v_plus_w - A * w - B * v
     # sqrt(b^2 - 4ac) > |b| where both floors act, no overflow
     root = np.hypot(b, 2.0 * np.sqrt(np.maximum(-a * c, 0.0)))
     # larger quadratic root, in the form without cancellation for the sign
@@ -106,8 +108,8 @@ def _gamma_profile(lambda_r, lambda_c, v, w, tau2, delta_f) -> np.ndarray:
     up = b >= 0.0
     x = np.zeros(c.shape)
     np.divide(-2.0 * c, b + root, out=x, where=both & up)
-    np.divide(root - b, 2.0 * a, out=x, where=both & ~up)
-    np.divide(-c, v + w, out=x, where=single)
+    np.divide(root - b, two_a, out=x, where=both & ~up)
+    np.divide(-c, v_plus_w, out=x, where=single)
     return tau2 * np.maximum(x, 0.0)
 
 
@@ -119,10 +121,8 @@ def subcarrier_gamma(
         raise ValueError("tau2 must be positive")
     if v < 0 or w < 0:
         raise ValueError("gains must be nonnegative")
-    out = _gamma_profile(
-        duals.lambda_r, duals.lambda_c, np.array([v]), np.array([w]), tau2, delta_f
-    )
-    return float(out[0])
+    kernel = _Kernel(np.array([v]), np.array([w]), delta_f)
+    return float(_gamma_profile(duals.lambda_r, duals.lambda_c, tau2, kernel)[0])
 
 
 _LOG_MAX = math.log(sys.float_info.max)
@@ -280,47 +280,62 @@ class Link:
         grad = float(np.add.reduce(self.snr / (1.0 + y))) / (n * LN2)
         return float(np.add.reduce(np.log1p(y))) / LN2, grad, x
 
-    def spread_slot(self, floor: np.ndarray, budget_rate: float, total_time: float) -> np.ndarray:
-        """Least total power ``S`` whose even split meets each floor of the
-        array ``floor`` with the whole budget spent; NaN where none does.
 
-        The budget binds at ``tau2 = B T / (S + B)``, capped at ``T -
-        TIME_TOL T`` (there the budget is slack), so the floor holds where
-        ``h(S) = scale B T G(S) - floor max(S + B, c) >= 0``, with ``G`` the
-        bits of :meth:`spread` and ``c = B T / (T - TIME_TOL T)``.  ``h`` is
-        concave with ``h(0) < 0``: Newton steps from 0 rise monotonically to
-        its smaller root, and end after a step under 1e-13 relative.  A slope
-        that is not positive, a step that is not finite, or ``MAX_ITER``
-        steps (a near-tangent ``h``) mean that it has none.  Each element
-        iterates as it would alone.
-        """
-        s = self.snr / self.snr.size
-        coef = self.scale / LN2 * budget_rate * total_time
-        cap = budget_rate * total_time / (total_time - TIME_TOL * total_time)
-        total = np.zeros(np.shape(floor))
-        live = np.flatnonzero(floor > 0.0)
-        # x s past the float range reads inf: infinite bits, no root left of S
-        with np.errstate(over="ignore"):
-            for _ in range(MAX_ITER):
-                if not live.size:
-                    return total
-                S, r = total[live], floor[live]
-                y = S[:, None] * s
-                shifted = S + budget_rate
-                h = coef * np.add.reduce(np.log1p(y), 1) - r * np.maximum(shifted, cap)
-                slope = coef * np.add.reduce(s / (1.0 + y), 1) - r * (shifted > cap)
-                step = -h / np.where(slope > 0.0, slope, math.nan)
-                S = S + step
-                S[~np.isfinite(S)] = math.nan  # no root
-                total[live] = S
-                live = live[step > 1e-13 * S]
-        total[live] = math.nan
-        return total
+def _spread_slots(pair, floors: np.ndarray, budget_rate: float, total_time: float) -> np.ndarray:
+    """Least total power ``S`` whose even split meets each floor of the
+    ``(2, k)`` array ``floors`` (row ``i`` on ``pair[i]``) with the whole
+    budget spent; NaN where none does.
+
+    The budget binds at ``tau2 = B T / (S + B)``, capped at ``T -
+    TIME_TOL T`` (there the budget is slack), so the floor holds where
+    ``h(S) = scale B T G(S) - floor max(S + B, c) >= 0``, with ``G`` the
+    bits of :meth:`Link.spread` and ``c = B T / (T - TIME_TOL T)``.  ``h``
+    is concave with ``h(0) < 0``: Newton steps from 0 rise monotonically to
+    its smaller root, and end after a step under 1e-13 relative.  A slope
+    that is not positive, a step that is not finite, or ``MAX_ITER`` steps
+    (a near-tangent ``h``) mean that it has none.  Both links' floors run
+    as the rows of one masked pass, each with its own link's SNRs and
+    coefficient, and each row iterates as it would alone.
+    """
+    n = floors.shape[1]  # row i of the flattened floors is on pair[i // n]
+    snr = np.stack([p.snr / p.snr.size for p in pair])
+    coefs = np.array([p.scale / LN2 * budget_rate * total_time for p in pair])
+    cap = budget_rate * total_time / (total_time - TIME_TOL * total_time)
+    floor = floors.ravel()
+    total = np.zeros(floor.shape)
+    live = np.flatnonzero(floor > 0.0)
+    # x s past the float range reads inf: infinite bits, no root left of S
+    with np.errstate(over="ignore"):
+        for _ in range(MAX_ITER):
+            if not live.size:
+                break
+            S, r, s, coef = total[live], floor[live], snr[live // n], coefs[live // n]
+            y = S[:, None] * s
+            shifted = S + budget_rate
+            h = coef * np.add.reduce(np.log1p(y), 1) - r * np.maximum(shifted, cap)
+            slope = coef * np.add.reduce(s / (1.0 + y), 1) - r * (shifted > cap)
+            step = -h / np.where(slope > 0.0, slope, math.nan)
+            S = S + step
+            S[~np.isfinite(S)] = math.nan  # no root
+            total[live] = S
+            live = live[step > 1e-13 * S]
+    total[live] = math.nan
+    return total.reshape(2, n)
+
+
+@lru_cache(maxsize=1)
+def _channel_tables(chan: ChannelRealization, delta_f: float) -> tuple:
+    """The sensing and data links of a channel and its profile kernel
+    (:class:`_Kernel`), kept for the most recent channel alone, so that
+    every entry point shares one set of tables.  A channel's arrays are
+    read-only and it is hashed by identity: the tables cannot go stale."""
+    v, w = chan.radar_snr, chan.comm_snr
+    return (Link(v, 0.5 * delta_f), Link(w, delta_f)), _Kernel(v, w, delta_f)
 
 
 def links(chan: ChannelRealization, delta_f: float) -> tuple[Link, Link]:
-    """The sensing and data links of a channel."""
-    return Link(chan.radar_snr, 0.5 * delta_f), Link(chan.comm_snr, delta_f)
+    """The sensing and data links of a channel (:func:`_channel_tables`)."""
+    return _channel_tables(chan, delta_f)[0]
 
 
 def inner_allocation(
@@ -423,7 +438,7 @@ def _inner_result(
     return InnerResult(gamma, duals, res, active, slope, tau2, mi, rate, jacobian)
 
 
-def _floor_jacobian(lambda_r, lambda_c, v, w, tau2, delta_f) -> tuple:
+def _floor_jacobian(lambda_r, lambda_c, tau2, kernel: _Kernel) -> tuple:
     """Profiles, sensing MI, data rate, and the slopes of (MI, rate) in the
     multipliers, for ``(k, 1)`` columns of multipliers and ``tau2``.
 
@@ -436,12 +451,14 @@ def _floor_jacobian(lambda_r, lambda_c, v, w, tau2, delta_f) -> tuple:
     :func:`inner_dual_value`, which is positive semidefinite.  Every result
     but the ``(k, N_c)`` profiles is a ``(k, 1)`` column.
     """
-    gamma = _gamma_profile(lambda_r, lambda_c, v, w, tau2, delta_f)
+    gamma = _gamma_profile(lambda_r, lambda_c, tau2, kernel)
+    v, w, delta_f = kernel.v, kernel.w, kernel.delta_f
+    *_, df_v, df_w = kernel.tables
     x = gamma / tau2
     xv, xw = x * v, x * w
     ev, ew = 1.0 + xv, 1.0 + xw
-    p_per = delta_f * v / (2.0 * LN2 * ev)  # p / lambda_r
-    q_per = delta_f * w / (LN2 * ew)  # q / lambda_c
+    p_per = df_v / (2.0 * LN2 * ev)  # p / lambda_r
+    q_per = df_w / (LN2 * ew)  # q / lambda_c
     d = lambda_r * p_per * v / ev + lambda_c * q_per * w / ew
     # the slopes sum over the active subcarriers only
     inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=x > 0.0)
@@ -458,19 +475,37 @@ def _floor_jacobian(lambda_r, lambda_c, v, w, tau2, delta_f) -> tuple:
     return gamma, mi, rate, j_rr, j_rc, j_cc
 
 
-def _jacobian_kernel(chan: ChannelRealization, delta_f: float) -> Callable[[list], list]:
-    """The optimal scheme's profile kernel on one channel: for a list of
-    ``(lambda_r, lambda_c, tau2)`` requests, one stacked
+class _Kernel:
+    """The optimal scheme's profile kernel on one channel, with gains ``v``
+    (sensing) and ``w`` (data) at subcarrier spacing ``delta_f``: for a
+    list of ``(lambda_r, lambda_c, tau2)`` requests, one stacked
     :func:`_floor_jacobian` call, split into one ``(gamma, mi, rate, j_rr,
     j_rc, j_cc)`` answer per request."""
-    v, w = chan.radar_snr, chan.comm_snr
 
-    def kernel(requests: list) -> list:
+    def __init__(self, v: np.ndarray, w: np.ndarray, delta_f: float) -> None:
+        self.v, self.w, self.delta_f = v, w, delta_f
+
+    @cached_property
+    def tables(self) -> tuple:
+        """The channel-only arrays of a profile: ``(v > 0) & (w > 0)``, the
+        mask of one positive gain, ``v w``, ``2 v w``, ``v + w``, ``delta_f
+        v`` and ``delta_f w``.  Built at the first profile, not with the
+        kernel: they can overflow on a channel that never needs one."""
+        v, w = self.v, self.w
+        both = (v > 0) & (w > 0)
+        vw, v_plus_w = v * w, v + w
+        df_v, df_w = self.delta_f * v, self.delta_f * w
+        return both, ~both & (v_plus_w > 0), vw, 2.0 * vw, v_plus_w, df_v, df_w
+
+    def __call__(self, requests: list) -> list:
         lambda_r, lambda_c, tau2 = np.array(requests).T[..., None]
-        gamma, *floors = _floor_jacobian(lambda_r, lambda_c, v, w, tau2, delta_f)
+        gamma, *floors = _floor_jacobian(lambda_r, lambda_c, tau2, self)
         return list(zip(gamma, *(f.ravel().tolist() for f in floors)))
 
-    return kernel
+
+def _jacobian_kernel(chan: ChannelRealization, delta_f: float) -> _Kernel:
+    """The profile kernel of a channel (:func:`_channel_tables`)."""
+    return _channel_tables(chan, delta_f)[1]
 
 
 def _log_mid(lo: float, hi: float, top: float) -> float:
@@ -776,9 +811,8 @@ def inner_dual_value(
     constraint gaps ``(mi_floor - MI, rate_floor - rate)`` evaluated at
     the minimizing profile.
     """
-    gamma = _gamma_profile(
-        duals.lambda_r, duals.lambda_c, chan.radar_snr, chan.comm_snr, tau2, params.delta_f
-    )
+    kernel = _jacobian_kernel(chan, params.delta_f)
+    gamma = _gamma_profile(duals.lambda_r, duals.lambda_c, tau2, kernel)
     mi = radar_mi(gamma, chan.radar_snr, tau2, params.delta_f)
     rate = comm_rate(gamma, chan.comm_snr, tau2, params.delta_f)
     value = (

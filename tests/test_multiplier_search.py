@@ -27,6 +27,7 @@ from wpirc.solver import (
     DUAL_TOL,
     SolverError,
     _gamma_profile,
+    _jacobian_kernel,
     _kkt_residual,
     links,
     subcarrier_gamma,
@@ -51,12 +52,13 @@ def nested_brentq_multipliers(tau2, chan, params, max_iter=200):
     r_r, r_c = params.mi_floor, params.rate_floor
     df = params.delta_f
     radar, comm = links(chan, df)
+    kernel = _jacobian_kernel(chan, df)
     lam_r1 = radar.fill(r_r, tau2)[1]
     lam_c1 = comm.fill(r_c, tau2)[1]
 
     def lambda_c_for(lr):
         def slack(lc):
-            return comm_rate(_gamma_profile(lr, lc, v, w, tau2, df), w, tau2, df) - r_c
+            return comm_rate(_gamma_profile(lr, lc, tau2, kernel), w, tau2, df) - r_c
 
         if slack(0.0) >= 0.0:
             return 0.0
@@ -66,7 +68,7 @@ def nested_brentq_multipliers(tau2, chan, params, max_iter=200):
         return brentq(slack, 0.0, hi, xtol=1e-300, rtol=1e-13, maxiter=max_iter)
 
     def mi_gap(lr):
-        gamma = _gamma_profile(lr, lambda_c_for(lr), v, w, tau2, df)
+        gamma = _gamma_profile(lr, lambda_c_for(lr), tau2, kernel)
         return radar_mi(gamma, v, tau2, df) - r_r
 
     lo, hi = 0.0, lam_r1
@@ -74,7 +76,7 @@ def nested_brentq_multipliers(tau2, chan, params, max_iter=200):
         lo, hi = hi, hi * 2.0
     lam_r = brentq(mi_gap, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=max_iter)
     lam_c = lambda_c_for(lam_r)
-    return DualPair(lam_r, lam_c), _gamma_profile(lam_r, lam_c, v, w, tau2, df)
+    return DualPair(lam_r, lam_c), _gamma_profile(lam_r, lam_c, tau2, kernel)
 
 
 def assert_matches_oracle(res, tau2, chan, params):

@@ -21,10 +21,11 @@ gate on it.
 
 The ``counts`` line gives the work of the searches on the benchmark shapes:
 ``_floor_jacobian`` calls per ``solve`` on the 96 ``solve-n1024`` channels,
-Newton steps on the total power per ``eq_solve`` on the same channels, both
-links together (``np.log1p`` calls in ``wpirc.solver``, one per step of
-``Link.spread_slot``), the stacked
-``_floor_jacobian`` calls of ``_solve_batch`` over the 24 ``sweep-n128``
+link pairs built per ``solve`` there (``Link`` objects over 2), Newton
+steps on the total power per ``eq_solve`` on the same channels, both links'
+rows together (the rows of the ``np.log1p`` calls in ``wpirc.solver``: a
+pass over both links' rows makes one call, one row per link and step), the
+stacked ``_floor_jacobian`` calls of ``_solve_batch`` over the 24 ``sweep-n128``
 trials (master seeds 0-23, one trial each) and the most that one of those
 trials makes, and the outcomes of the ``op`` slot prediction
 (``PredictorOutcomes``) on the ``solve-n1024`` solves and on the sweep
@@ -204,17 +205,18 @@ SETS = {
 
 
 class CountingNumpy:
-    """NumPy with its ``log1p`` calls counted."""
+    """NumPy with the rows of its ``log1p`` calls counted (one for a 1-D
+    argument)."""
 
     def __init__(self):
-        self.log1p_calls = 0
+        self.log1p_rows = 0
 
     def __getattr__(self, name):
         return getattr(np, name)
 
-    def log1p(self, *args, **kwargs):
-        self.log1p_calls += 1
-        return np.log1p(*args, **kwargs)
+    def log1p(self, x, *args, **kwargs):
+        self.log1p_rows += np.shape(x)[0] if np.ndim(x) > 1 else 1
+        return np.log1p(x, *args, **kwargs)
 
 
 class PredictorOutcomes:
@@ -283,18 +285,25 @@ def counts(wpirc) -> str:
         calls[0] += 1
         return jacobian(*args)
 
+    link_init, links_built = solver.Link.__init__, [0]
+
+    def counted_link(self, *args):
+        links_built[0] += 1
+        link_init(self, *args)
+
     params = solve_n1024_params(wpirc)
     channels = [wpirc.sim.sample_channel(seed, params, 10.0, 10.0) for seed in range(96)]
     base = wpirc.SystemParams(**PAPER_UNITS, n_subcarriers=128, n_antennas=5, rate_floor=150.0)
     rows = [replace(base, mi_floor=float(m)) for m in np.linspace(30.0, 250.0, 10)]
     numpy = CountingNumpy()
     trial_calls = []
-    solver._floor_jacobian = counted
+    solver._floor_jacobian, solver.Link.__init__ = counted, counted_link
     try:
         with PredictorOutcomes(solver) as outcomes:
             for chan in channels:
                 wpirc.solve(params, chan)
             per_solve, calls[0] = calls[0] / len(channels), 0
+            pairs_per_solve = links_built[0] / 2 / len(channels)
             solve_outcomes = outcomes.take()
             for seed in range(24):
                 chan = wpirc.sim.sample_channel(wpirc.sim.trial_seed(seed, 0), base, 10.0, 10.0)
@@ -305,10 +314,11 @@ def counts(wpirc) -> str:
         for chan in channels:
             wpirc.eq_solve(params, chan)
     finally:
-        solver._floor_jacobian, solver.np = jacobian, np
+        solver._floor_jacobian, solver.Link.__init__, solver.np = jacobian, link_init, np
     return (
         f"counts floor_jacobian_per_solve {per_solve:.2f}"
-        f" slot_steps_per_eq_solve {numpy.log1p_calls / len(channels):.2f}"
+        f" link_pairs_per_solve {pairs_per_solve:.2f}"
+        f" slot_steps_per_eq_solve {numpy.log1p_rows / len(channels):.2f}"
         f" sweep_stacked_calls {calls[0]}"
         f" sweep_trial_calls_max {max(trial_calls)}"
         f" predictor({'/'.join(PredictorOutcomes.NAMES)})"
