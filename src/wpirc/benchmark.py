@@ -74,10 +74,9 @@ def _equal_power_rows(rows: list[SystemParams], chan: ChannelRealization) -> lis
     if budget_rate > 0.0:
         pair = links(chan, params.delta_f)
         floors = np.array([(p.mi_floor, p.rate_floor) for p in rows]).T
-        total = np.maximum(*_spread_slots(pair, floors, budget_rate, total_time))
-        slot = np.minimum(
-            budget_rate * total_time / (total + budget_rate), total_time - TIME_TOL * total_time
-        )
+        longest = total_time - TIME_TOL * total_time
+        total = np.maximum(*_spread_slots(pair, floors, budget_rate, total_time, longest))
+        slot = np.minimum(budget_rate * total_time / (total + budget_rate), longest)
         x = total / n
         met = np.isfinite(total)
         with np.errstate(over="ignore"):  # x s past the float range: infinite bits

@@ -22,7 +22,7 @@ from .model import (
     SystemParams,
     harvest_rate,
 )
-from .solver import SolverError, _mrt_solution, _validate_instance, links
+from .solver import SolverError, _mrt_solution, _spread_slots, _validate_instance, links
 
 __all__ = [
     "Certificate",
@@ -157,21 +157,37 @@ def equal_power_demand_bound(
 ) -> float:
     """Upper bound on the optimal total transmit-phase energy.
 
-    On every time split of the oracle's grid, the cheapest common
-    per-subcarrier energy that meets both rate floors is the larger of the
-    two floors' equal-power levels, each found for the whole grid at once
-    by the Newton iteration of :meth:`wpirc.solver.Link.level`.  The
-    cheapest budget-feasible equal-power point bounds the optimum, and so
-    each gamma coordinate.  Returns ``inf`` when no equal-power point is
-    feasible, a positive floor over an all-zero SNR vector included.
+    The least energy ``tau2 S(tau2)`` at which a common per-subcarrier
+    power meets both rate floors at the time split ``tau2``, with ``S`` the
+    total power, is nonincreasing in ``tau2``, and the splits where it fits
+    the budget ``B (T - tau2)`` form an interval (both floors are
+    perspectives) that ends at the equal-power slot ``B T / (S* + B)``,
+    ``S*`` the larger of the two floors' least total powers with the budget
+    binding.  So one pass of :func:`wpirc.solver._spread_slots`, its slot
+    capped at ``T``, gives that slot, and a second pass over the (at most
+    three) grid splits around it gives the cheapest budget-feasible
+    equal-power point of the oracle's grid, which bounds the optimum, and
+    so each gamma coordinate.  Returns ``inf`` when no equal-power point on
+    the grid is feasible, a positive floor over an all-zero SNR vector
+    included.
     """
     _validate_instance(params, chan)
     total_time = params.total_time
     tau2 = np.linspace(total_time / tau2_steps, total_time, tau2_steps)
-    floors = zip(links(chan, params.delta_f), (params.mi_floor, params.rate_floor))
-    levels = [link.level(floor, tau2)[0] for link, floor in floors]
-    demand = params.n_subcarriers * np.maximum(*levels)
-    fits = demand <= harvest_rate(params, chan) * (total_time - tau2)
+    floors = np.array([[params.mi_floor], [params.rate_floor]])
+    if not floors.any():
+        return 0.0  # no demand, which fits at every split, a zero budget included
+    pair, budget_rate = links(chan, params.delta_f), harvest_rate(params, chan)
+    (least,) = np.maximum(*_spread_slots(pair, floors, budget_rate, total_time, total_time))
+    if math.isnan(least):
+        return math.inf
+    last = int(np.searchsorted(tau2, budget_rate * total_time / (least + budget_rate)))
+    # tau2[last - 1] < slot <= tau2[last]: the cheapest split that fits is
+    # last - 1, or a neighbour where rounding decides the fit
+    near = tau2[max(last - 2, 0) : last + 1]
+    floors = np.repeat(floors, near.size, 1)
+    demand = near * np.maximum(*_spread_slots(pair, floors, budget_rate, total_time, near))
+    fits = demand <= budget_rate * (total_time - near)
     return float(np.min(demand[fits], initial=math.inf))
 
 

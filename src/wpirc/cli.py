@@ -16,7 +16,7 @@ from pathlib import Path
 
 import yaml
 
-from . import benchmark, certify, sim, solver
+from . import certify, sim, solver
 from .model import SolveStatus, SystemParams, comm_rate, radar_mi
 
 __all__ = ["main", "run"]

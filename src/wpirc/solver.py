@@ -12,7 +12,6 @@ inner allocation give its slope.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, Generator, Optional
@@ -125,19 +124,16 @@ def subcarrier_gamma(
     return float(_gamma_profile(duals.lambda_r, duals.lambda_c, tau2, kernel)[0])
 
 
-_LOG_MAX = math.log(sys.float_info.max)
-_TINY = sys.float_info.min  # smallest normal float
-
-
 class Link:
     """One link's floor and the allocations that meet or maximize it.
 
     A floor is ``bits = scale tau2 sum log2(1 + x_m s_m)`` over the link's
     SNRs ``s`` and the powers ``x = gamma / tau2``, a perspective of a
     concave function, with ``scale = delta_f / 2`` for the sensing MI and
-    ``delta_f`` for the data rate (:func:`links`).  The tables are built on
-    first use and kept: one sorted table for :meth:`fill` and :meth:`pour`,
-    and the unsorted sums of :meth:`level`, so a level never sorts.
+    ``delta_f`` for the data rate (:func:`links`).  The sorted table of
+    :meth:`fill` and :meth:`pour` is built on first use and kept.  The
+    least even split that meets a floor is :func:`_spread_slots`', which
+    needs no table.
     """
 
     def __init__(self, snr: np.ndarray, scale: float) -> None:
@@ -159,15 +155,6 @@ class Link:
         inv_sum = np.cumsum(1.0 / s)
         inv = np.divide(1.0, self.snr, out=np.full_like(self.snr, np.inf), where=pos)
         return log_sum, log_sum - k * log_s, inv_sum, k / s - inv_sum, inv
-
-    @cached_property
-    def _level_sums(self) -> tuple:
-        """The positive SNRs in their own order, their sum, largest value
-        and sum of logs, and the ``u`` past which ``e^u s`` overflows."""
-        s = self.snr[self.snr > 0]
-        s_max = float(np.maximum.reduce(s, initial=0.0))
-        log_sum = float(np.add.reduce(np.log(s)))
-        return s, float(np.add.reduce(s)), s_max, log_sum, _LOG_MAX - math.log(max(s_max, 1.0))
 
     def bits(self, x, tau2: float) -> float:
         """The floor's bits at the powers ``x`` (an array or one common value)."""
@@ -196,66 +183,6 @@ class Link:
         level = 2.0**exponent
         return np.maximum(level - inv, 0.0), level * LN2 / self.scale
 
-    def level(self, floor, tau2) -> tuple:
-        """Smallest common per-subcarrier energy meeting ``floor``, and its
-        slope in ``tau2``.
-
-        The common power ``x = gamma / tau2`` solves ``F(u) = sum log1p(e^u
-        s) = target`` in ``u = log x``, with ``target = floor ln 2 / (scale
-        tau2)``.  ``F`` is convex and increasing.  Over ``s > 0``, ``sum
-        log(e^u s) <= F(u)`` makes ``u0 = (target - sum log s) / N+`` an
-        upper bound on the root, and ``log1p(z) >= 2z / (2 + z)`` gives ``F
-        >= 2xS / (2 + x s_max)`` with ``S = sum s``, so ``x = 2 target / (2S
-        - target s_max)`` is one too where it is positive.  Newton steps
-        from the smaller bound fall monotonically, every iterate meeting the
-        floor.  As ``F'' <= F'``, a step of size ``d`` leaves an error under
-        ``d^2 / 2``, so the iteration ends after a step under 1e-8;
-        ``MAX_ITER`` caps the steps.  Where ``e^u`` or ``e^u s`` overflows at
-        that bound, no finite energy meets the floor: the level is then
-        ``inf``, with slope ``-inf``, as it is for a positive target on a
-        link with no positive SNR.  A target below ``S`` times the smallest
-        normal float, a zero floor's included, has a level below the float
-        range: it reads 0, with slope 0.  Implicit differentiation of ``F(u)
-        = target`` gives the slope ``x (1 - target / F'(u))``, with ``F'``
-        taken at the returned level.
-
-        ``floor`` and ``tau2`` may be arrays: every element of their
-        broadcast runs the same iteration at once and stops on its own rule,
-        and the level and slope take its shape.
-        """
-        s, total, s_max, log_sum, u_max = self._level_sums
-        target = floor * LN2 / self.scale / np.asarray(tau2, dtype=float)
-        shape = np.shape(target)
-        if not s.size:
-            unreachable = target > 0.0
-            gamma = np.where(unreachable, math.inf, 0.0)
-            return gamma[()], np.where(unreachable, -math.inf, 0.0)[()]
-        target = np.reshape(target, -1)
-        below = target < _TINY * total
-        # the iteration runs on a stand-in where the level reads 0
-        target = np.maximum(target, _TINY * total)
-        u0 = (target - log_sum) / s.size
-        # 1 / x of the second bound where it holds (inv > 0); elsewhere u0 stands
-        inv = total / target - 0.5 * s_max
-        cold = np.minimum(u0, -np.log(inv, out=-u0, where=inv > 0.0))
-        finite = cold < u_max
-        u = np.where(finite, cold, 0.0)  # kept harmless while the finite levels iterate
-        live = finite
-        for _ in range(MAX_ITER):
-            xs = np.exp(u)[:, None] * s
-            grad = np.add.reduce(xs / (1.0 + xs), 1)
-            if not np.count_nonzero(live):
-                break
-            step = (np.add.reduce(np.log1p(xs), 1) - target) / grad * live
-            u -= step
-            live = step > 1e-8
-        x = np.where(below, 0.0, np.exp(u))
-        # a level near the float limit can have a slope past it: that reads -inf
-        with np.errstate(over="ignore"):
-            gamma = np.where(finite, x, math.inf).reshape(shape) * tau2
-            slope = np.where(finite, x * (1.0 - target / grad), -math.inf)
-        return gamma[()], slope.reshape(shape)[()]
-
     def pour(self, total: float) -> tuple[float, float, np.ndarray]:
         """Water-filling of the total power ``total > 0``: ``(G, dG/dtotal,
         x)`` with ``G = sum log2(1 + x s)``; the link needs a positive SNR.
@@ -281,44 +208,57 @@ class Link:
         return float(np.add.reduce(np.log1p(y))) / LN2, grad, x
 
 
-def _spread_slots(pair, floors: np.ndarray, budget_rate: float, total_time: float) -> np.ndarray:
+def _spread_slots(
+    pair, floors: np.ndarray, budget_rate: float, total_time: float, slot
+) -> np.ndarray:
     """Least total power ``S`` whose even split meets each floor of the
     ``(2, k)`` array ``floors`` (row ``i`` on ``pair[i]``) with the whole
-    budget spent; NaN where none does.
+    budget spent, in a slot no longer than ``slot`` (one value, or one per
+    column); NaN where none does.  This is the one search for an
+    equal-power level: ``eq_solve`` and the oracle's demand bound run it.
 
-    The budget binds at ``tau2 = B T / (S + B)``, capped at ``T -
-    TIME_TOL T`` (there the budget is slack), so the floor holds where
-    ``h(S) = scale B T G(S) - floor max(S + B, c) >= 0``, with ``G`` the
-    bits of :meth:`Link.spread` and ``c = B T / (T - TIME_TOL T)``.  ``h``
-    is concave with ``h(0) < 0``: Newton steps from 0 rise monotonically to
-    its smaller root, and end after a step under 1e-13 relative.  A slope
-    that is not positive, a step that is not finite, or ``MAX_ITER`` steps
-    (a near-tangent ``h``) mean that it has none.  Both links' floors run
-    as the rows of one masked pass, each with its own link's SNRs and
-    coefficient, and each row iterates as it would alone.
+    The budget binds at ``tau2 = B T / (S + B)``, capped at ``slot`` (there
+    the budget is slack), so the floor holds where ``h(S) = coef G(S) -
+    floor max(S + B, c) >= 0``, with ``G(S) = sum log1p(S s)`` over ``s =
+    snr / N`` (the even split of :meth:`Link.spread`), ``coef = scale B T /
+    ln 2`` and the cap ``c = B T / slot``.  ``h`` is concave,
+    and ``G(S) <= N log1p(S sum(s) / N)`` (Jensen) makes it nonpositive up
+    to ``S0 = N expm1(floor c / (coef N)) / sum(s)``: Newton steps from
+    ``S0`` rise monotonically to its smaller root, and end after a step
+    under 1e-13 relative.  A start that is not finite (an all-zero link, or
+    an overflow), a slope that is not positive, a step that is not finite,
+    or ``MAX_ITER`` steps (a near-tangent ``h``) mean that it has none.
+    Both links' floors run as the rows of one masked pass, each with its
+    own link's SNRs, coefficient and cap, and each row iterates as it would
+    alone; a row leaves the pass when it stops.
     """
     n = floors.shape[1]  # row i of the flattened floors is on pair[i // n]
     snr = np.stack([p.snr / p.snr.size for p in pair])
     coefs = np.array([p.scale / LN2 * budget_rate * total_time for p in pair])
-    cap = budget_rate * total_time / (total_time - TIME_TOL * total_time)
+    caps = np.broadcast_to(budget_rate * total_time / np.asarray(slot, dtype=float), floors.shape)
     floor = floors.ravel()
     total = np.zeros(floor.shape)
     live = np.flatnonzero(floor > 0.0)
+    r, c, s, coef = floor[live], caps.ravel()[live], snr[live // n], coefs[live // n]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        S = s.shape[1] * np.expm1(r * c / (coef * s.shape[1])) / np.add.reduce(s, 1)
+    S[~np.isfinite(S)] = math.nan  # no root
     # x s past the float range reads inf: infinite bits, no root left of S
     with np.errstate(over="ignore"):
         for _ in range(MAX_ITER):
             if not live.size:
                 break
-            S, r, s, coef = total[live], floor[live], snr[live // n], coefs[live // n]
             y = S[:, None] * s
             shifted = S + budget_rate
-            h = coef * np.add.reduce(np.log1p(y), 1) - r * np.maximum(shifted, cap)
-            slope = coef * np.add.reduce(s / (1.0 + y), 1) - r * (shifted > cap)
+            h = coef * np.add.reduce(np.log1p(y), 1) - r * np.maximum(shifted, c)
+            slope = coef * np.add.reduce(s / (1.0 + y), 1) - r * (shifted > c)
             step = -h / np.where(slope > 0.0, slope, math.nan)
             S = S + step
             S[~np.isfinite(S)] = math.nan  # no root
             total[live] = S
-            live = live[step > 1e-13 * S]
+            going = step > 1e-13 * S
+            if not going.all():
+                live, S, r, c, s, coef = (a[going] for a in (live, S, r, c, s, coef))
     total[live] = math.nan
     return total.reshape(2, n)
 

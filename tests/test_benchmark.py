@@ -222,8 +222,8 @@ def test_solve_dominates_eq_on_zero_snr_subcarriers_and_short_harvests(
 def test_eq_solve_within_the_grid_bound_and_above_solve(data, nc, mi_floor, rate_floor, seed):
     """Two computations of the equal-power restriction agree: wherever
     ``eq_solve`` is optimal its demand is at most the grid minimum of the
-    same restriction (``equal_power_demand_bound``, by ``Link.level`` on
-    200 time splits), and its energy is at least the optimal scheme's.
+    same restriction on 200 time splits (``equal_power_demand_bound``), and
+    its energy is at least the optimal scheme's.
     Floors and SNRs as in the test above."""
     params = make_params(n_subcarriers=nc, n_antennas=3, mi_floor=mi_floor, rate_floor=rate_floor)
     h = np.random.default_rng(seed).standard_normal((3, 2)) @ np.array([1.0, 1j])

@@ -25,10 +25,17 @@ from wpirc import (
 )
 from wpirc import certify
 from wpirc.certify import equal_power_demand_bound
+from wpirc.model import LN2, harvest_rate
 from wpirc.sim import sample_channel
-from wpirc.solver import Link, SolverError, _mrt_solution
+from wpirc.solver import SolverError, _mrt_solution, _spread_slots, links
 
 from conftest import make_params
+from test_time_split import edge_snrs
+
+
+# a positive floor from 1e-3 to 1e3 bits: below 1e-3 the bisection's 80
+# halvings of a level from tau2 stop short of the level itself
+edge_floors = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
 
 
 def bisection_demand_bound(params, chan, tau2_steps=200):
@@ -37,14 +44,16 @@ def bisection_demand_bound(params, chan, tau2_steps=200):
     On every grid point it doubles a common energy from ``tau2`` until both
     rate floors hold (giving up after 200 checks), bisects it 80 times, and
     keeps the cheapest budget-feasible point.  The rates are in bits, as in
-    ``radar_mi``/``comm_rate``; all grid points run at once.
+    ``radar_mi``/``comm_rate``, but summed over ``log1p``: ``log2(1 + y)``
+    loses ``1e-16 / y`` relative where ``y`` is small, past 1e-12 for
+    floors near 1e-3 bits.  All grid points run at once.
     """
     nc, df, total_time = params.n_subcarriers, params.delta_f, params.total_time
     tau2 = np.linspace(total_time / tau2_steps, total_time, tau2_steps)
 
     def ok(g):
         def bits(snr):
-            return df * tau2 * np.sum(np.log2(1.0 + g[:, None] * snr / tau2[:, None]), axis=1)
+            return df * tau2 * np.sum(np.log1p(g[:, None] * snr / tau2[:, None]), axis=1) / LN2
 
         return (0.5 * bits(chan.radar_snr) >= params.mi_floor) & (
             bits(chan.comm_snr) >= params.rate_floor
@@ -341,20 +350,66 @@ class TestEqualPowerDemandBound:
         with pytest.raises(ValueError, match=match):
             equal_power_demand_bound(replace(params, **size), chan)
 
-    def test_level_runs_once_per_floor_for_the_whole_grid(self, monkeypatch):
-        link_level = Link.level
-        sizes = []
+    def test_two_least_power_passes_whatever_the_grid(self, monkeypatch):
+        # one pass finds the equal-power slot, one more the grid splits next to it
+        passes = []
 
-        def counted(link, floor, tau2):
-            sizes.append(np.size(tau2))
-            return link_level(link, floor, tau2)
+        def counted(pair, floors, budget_rate, total_time, slot):
+            passes.append((floors.shape, np.size(slot)))
+            return _spread_slots(pair, floors, budget_rate, total_time, slot)
 
-        monkeypatch.setattr(Link, "level", counted)
+        monkeypatch.setattr(certify, "_spread_slots", counted)
         params, chan = next(criterion_1_instances())
-        for steps in (1, 7, 200):
-            sizes.clear()
-            equal_power_demand_bound(params, chan, tau2_steps=steps)
-            assert sizes == [steps, steps]
+        for steps in (1, 2, 7, 200, 5000):
+            passes.clear()
+            assert math.isfinite(equal_power_demand_bound(params, chan, tau2_steps=steps)) == (
+                steps > 1
+            )
+            (first, one), (second, near) = passes
+            assert first == (2, 1) and one == 1
+            assert second == (2, near) and 1 <= near <= min(3, steps)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        nc=st.sampled_from([1, 2, 3]),
+        floors=st.one_of(
+            st.tuples(edge_floors, edge_floors),
+            st.tuples(edge_floors, st.just(0.0)),
+            st.tuples(st.just(0.0), edge_floors),
+        ),
+        steps=st.sampled_from([1, 2, 3, 7, 200]),
+        gain=st.floats(min_value=-1.0, max_value=1.0),
+    )
+    def test_matches_bisection_on_edge_instances(self, data, nc, floors, steps, gain):
+        radar = data.draw(st.lists(edge_snrs, min_size=nc, max_size=nc), label="radar")
+        comm = data.draw(st.lists(edge_snrs, min_size=nc, max_size=nc), label="comm")
+        chan = ChannelRealization(h=[10.0**gain, 0.5j], radar_snr=radar, comm_snr=comm)
+        params = make_params(n_subcarriers=nc, mi_floor=floors[0], rate_floor=floors[1])
+        ref = bisection_demand_bound(params, chan, steps)
+        got = equal_power_demand_bound(params, chan, tau2_steps=steps)
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("steps", [2, 3, 7, 200])
+    def test_slot_within_rounding_of_a_grid_split(self, steps):
+        # rate floors within a few ulps of the bits that spend the whole
+        # budget exactly at a grid split: whether that split fits is
+        # rounding, and the bound must read what the least powers at every
+        # split of the grid give, bit for bit
+        params, chan = next(criterion_1_instances())
+        pair = links(chan, params.delta_f)
+        budget, total_time = harvest_rate(params, chan), params.total_time
+        tau2 = np.linspace(total_time / steps, total_time, steps)
+        for k in sorted({0, (steps - 1) // 2, steps - 2}):
+            power = budget * (total_time - tau2[k]) / tau2[k]
+            bits = pair[1].bits(power / params.n_subcarriers, tau2[k])
+            for ulps in range(-3, 4):
+                rate_floor = bits + ulps * np.spacing(bits)
+                floors = np.repeat([[0.0], [rate_floor]], steps, 1)
+                demand = tau2 * np.maximum(*_spread_slots(pair, floors, budget, total_time, tau2))
+                dense = np.min(demand[demand <= budget * (total_time - tau2)], initial=math.inf)
+                trial = replace(params, mi_floor=0.0, rate_floor=rate_floor)
+                assert equal_power_demand_bound(trial, chan, tau2_steps=steps) == dense
 
 
 def test_solver_and_benchmark_do_not_load_certify():

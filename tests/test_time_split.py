@@ -9,11 +9,11 @@ times than the Newton iterations that took their place.  ``envelope_slope``
 is the former demand slope, two log sums over the profile, which the
 inner allocation's homogeneity slope replaced.  ``reference_eq_solve`` is
 the former ``eq_solve``: the Newton time-split search with each probe
-answered by the two links' equal-power levels (``Link.level``), which the
-Newton on the total power replaced.
+answered by the two links' equal-power levels (``brentq_common_gamma``,
+with the slope from implicit differentiation), which the Newton on the
+total power replaced.
 """
 import math
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -27,32 +27,48 @@ from wpirc import (
     SolveStatus,
     comm_rate,
     eq_solve,
+    equal_power_demand_bound,
     feasibility_frontier,
     inner_allocation,
     radar_mi,
     rank_one_extract,
     solve,
 )
-import wpirc.solver
 from wpirc.model import LN2
 from wpirc.sim import sample_channel
-from wpirc.solver import MAX_ITER, TIME_TOL, Link, links, solve_with_allocation
+from wpirc.solver import MAX_ITER, TIME_TOL, solve_with_allocation
 
 from conftest import T_TOTAL, make_params
 from test_multiplier_search import SHAPES, shape_instance
 
 
 def _common_gamma(snr, floor, tau2, delta_f, half):
-    """The equal-power level of one link at ``floor`` and ``tau2``, and its slope."""
-    return Link(snr, (0.5 if half else 1.0) * delta_f).level(floor, tau2)[:2]
+    """The equal-power level of one link at ``floor`` and ``tau2``
+    (:func:`brentq_common_gamma`), and its slope.
+
+    The common power ``x = gamma / tau2`` solves ``sum log1p(x s) = target
+    = floor ln 2 / (scale tau2)``, so implicit differentiation gives the
+    slope ``x (1 - target / sum(x s / (1 + x s)))``: 0 at a zero floor,
+    ``-inf`` where no finite energy meets the floor.
+    """
+    gamma = brentq_common_gamma(snr, floor, tau2, delta_f, half)
+    if gamma == 0.0 or gamma == math.inf:
+        return gamma, 0.0 if gamma == 0.0 else -math.inf
+    x = gamma / tau2
+    xs = x * snr
+    target = floor * LN2 / ((0.5 if half else 1.0) * delta_f * tau2)
+    return gamma, x * (1.0 - target / float(np.sum(xs / (1.0 + xs))))
 
 
 def _equal_power_allocation(tau2, chan, params):
     """Equal-power profile at ``tau2``, the slope of its total, and the
     next probe's start (always None): the larger of the two links' levels,
     where they tie either floor's slope, a subgradient of the total."""
-    radar, comm = links(chan, params.delta_f)
-    level = max(radar.level(params.mi_floor, tau2), comm.level(params.rate_floor, tau2))
+    df = params.delta_f
+    level = max(
+        _common_gamma(chan.radar_snr, params.mi_floor, tau2, df, True),
+        _common_gamma(chan.comm_snr, params.rate_floor, tau2, df, False),
+    )
     n = params.n_subcarriers
     return np.full(n, level[0]), n * float(level[1]), None
 
@@ -378,96 +394,6 @@ def test_equal_power_slope_on_both_sides_of_the_floor_tie():
     assert min(one_sided) <= at_tie <= max(one_sided)
 
 
-def test_common_level_matches_brentq(rng):
-    n_unreachable = 0
-    for _ in range(300):
-        n = int(rng.integers(1, 40))
-        snr = 10.0 ** rng.uniform(-6, 6, n)
-        snr[rng.random(n) < 0.2] = 0.0
-        snr[0] = max(snr[0], 1e-3)
-        floor = 10.0 ** rng.uniform(-2, 3)
-        tau2 = T_TOTAL * 10.0 ** rng.uniform(-4, 0)
-        half = bool(rng.random() < 0.5)
-        gamma, _ = _common_gamma(snr, floor, tau2, 2.5e5, half)
-        assert gamma == pytest.approx(brentq_common_gamma(snr, floor, tau2, 2.5e5, half), rel=1e-12)
-        if gamma == math.inf:
-            n_unreachable += 1
-            continue
-        # the level meets the floor: sum log1p(x s) >= target
-        target = (2.0 if half else 1.0) * floor * math.log(2.0) / (2.5e5 * tau2)
-        assert float(np.sum(np.log1p(gamma / tau2 * snr))) >= target * (1 - 1e-14)
-    assert 0 < n_unreachable < 30
-
-
-def u0_start_iterations(snr, floor, tau2, half):
-    """Newton steps the equal-power level takes from ``u0`` alone."""
-    s = snr[snr > 0]
-    target = (2.0 if half else 1.0) * floor * math.log(2.0) / (2.5e5 * tau2)
-    u = (target - float(np.sum(np.log(s)))) / s.size
-    if not u + math.log(float(np.max(s))) < math.log(sys.float_info.max):
-        return 0
-    for n in range(1, 201):
-        xs = math.exp(u) * s
-        gap = float(np.sum(np.log1p(xs))) - target
-        if not gap > 0.0:
-            return n
-        step = gap / float(np.sum(xs / (1.0 + xs)))
-        u -= step
-        if step <= 1e-8:
-            return n
-    raise AssertionError("no convergence from u0")
-
-
-class CountingNumpy:
-    """numpy, with a count of ``log1p`` calls: one per Newton step."""
-
-    def __init__(self):
-        self.log1p_calls = 0
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def log1p(self, *args, **kwargs):
-        self.log1p_calls += 1
-        return np.log1p(*args, **kwargs)
-
-
-def test_tighter_level_start_never_takes_more_steps(rng, monkeypatch):
-    counter = CountingNumpy()
-    monkeypatch.setattr(wpirc.solver, "np", counter)
-    steps, u0_steps = [], []
-    for _ in range(300):
-        n = int(rng.integers(1, 40))
-        snr = 10.0 ** rng.uniform(-6, 6, n)
-        snr[rng.random(n) < 0.2] = 0.0
-        snr[0] = max(snr[0], 1e-3)
-        floor = 10.0 ** rng.uniform(-2, 3)
-        tau2 = T_TOTAL * 10.0 ** rng.uniform(-4, 0)
-        half = bool(rng.random() < 0.5)
-        before = counter.log1p_calls
-        _common_gamma(snr, floor, tau2, 2.5e5, half)
-        steps.append(counter.log1p_calls - before)
-        u0_steps.append(u0_start_iterations(snr, floor, tau2, half))
-    assert all(a <= b for a, b in zip(steps, u0_steps))
-    assert sum(steps) < sum(u0_steps)
-
-
-@pytest.mark.parametrize("n", [1, 2, 16, 1024])
-def test_level_over_an_array_matches_each_scalar_call(rng, n):
-    # every element of a vectorized call stops on its own rule, so it runs
-    # exactly the iteration that a scalar call at its tau2 runs
-    for trial in range(4):
-        snr = 10.0 ** rng.uniform(-3, 3, n)
-        snr[rng.random(n) < 0.1] = 0.0
-        snr[0] = max(snr[0], 1e-3)
-        floor, half = 10.0 ** rng.uniform(0, 3), bool(trial % 2)
-        tau2 = T_TOTAL * 10.0 ** rng.uniform(-4, 0, 200)
-        gamma, slope = _common_gamma(snr, floor, tau2, 2.5e5, half)
-        one_by_one = [_common_gamma(snr, floor, t, 2.5e5, half) for t in tau2]
-        assert gamma.tolist() == [g for g, _ in one_by_one]
-        assert slope.tolist() == [d for _, d in one_by_one]
-
-
 def unreachable_mi_floor(case):
     """An MI floor of 500 bits that no finite energy meets, and the time
     split to probe: at ``1e-12 T`` its water level passes the float range,
@@ -481,11 +407,13 @@ def unreachable_mi_floor(case):
 
 @pytest.mark.parametrize("case", ["overflow", "zero-link"])
 def test_unreachable_equal_power_floor_is_infinite_demand(case):
-    params, chan, t2 = unreachable_mi_floor(case)
-    gamma, slope = _common_gamma(chan.radar_snr, 500.0, t2, 2.5e5, True)
-    assert gamma == math.inf and slope == -math.inf
-    total, slope, _ = _equal_power_allocation(t2, chan, params)
-    assert np.all(total == math.inf) and slope == -math.inf
+    params, chan, _ = unreachable_mi_floor(case)
+    if case == "overflow":
+        # the least power's start, N expm1(floor ln 2 / (scale T N)) / sum(s),
+        # passes the float range
+        params = replace(params, mi_floor=1e6)
+    assert equal_power_demand_bound(params, chan) == math.inf
+    assert eq_solve(params, chan).status is SolveStatus.INFEASIBLE
 
 
 @pytest.mark.parametrize("case", ["overflow", "zero-link"])

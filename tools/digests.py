@@ -24,7 +24,9 @@ The ``counts`` line gives the work of the searches on the benchmark shapes:
 link pairs built per ``solve`` there (``Link`` objects over 2), Newton
 steps on the total power per ``eq_solve`` on the same channels, both links'
 rows together (the rows of the ``np.log1p`` calls in ``wpirc.solver``: a
-pass over both links' rows makes one call, one row per link and step), the
+pass over both links' rows makes one call, one row per link and step),
+the same rows per ``equal_power_demand_bound`` call on the 32 ``oracle-n2``
+configs (on its default grid of 200 time splits), the
 stacked ``_floor_jacobian`` calls of ``_solve_batch`` over the 24 ``sweep-n128``
 trials (master seeds 0-23, one trial each) and the most that one of those
 trials makes, and the outcomes of the ``op`` slot prediction
@@ -175,19 +177,27 @@ def sweep_csv(wpirc, digest, values) -> None:
     values.extend([r.status, r.energy, r.tau2 / base.total_time] for r in rows)
 
 
-def oracle_check(wpirc, digest, values) -> None:
+def oracle_configs() -> list[dict]:
+    """The 32 ``oracle-n2`` configs."""
     rng = np.random.default_rng(1)
+    return [
+        {
+            **PAPER_UNITS,
+            "n_subcarriers": 2,
+            "n_antennas": 2,
+            "mi_floor": float(rng.uniform(5.0, 40.0)),
+            "rate_floor": float(rng.uniform(5.0, 40.0)),
+            "seed": seed,
+        }
+        for seed in range(32)
+    ]
+
+
+def oracle_check(wpirc, digest, values) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        for seed in range(32):
-            scenario = {
-                "n_subcarriers": 2,
-                "n_antennas": 2,
-                "mi_floor": float(rng.uniform(5.0, 40.0)),
-                "rate_floor": float(rng.uniform(5.0, 40.0)),
-                "seed": seed,
-            }
-            path = Path(tmp) / f"oracle-{seed}.yaml"
-            path.write_text(yaml.safe_dump({**PAPER_UNITS, **scenario}))
+        for config in oracle_configs():
+            path = Path(tmp) / f"oracle-{config['seed']}.yaml"
+            path.write_text(yaml.safe_dump(config))
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 code = wpirc.cli.main(["oracle-check", "--config", str(path)])
@@ -295,6 +305,12 @@ def counts(wpirc) -> str:
     channels = [wpirc.sim.sample_channel(seed, params, 10.0, 10.0) for seed in range(96)]
     base = wpirc.SystemParams(**PAPER_UNITS, n_subcarriers=128, n_antennas=5, rate_floor=150.0)
     rows = [replace(base, mi_floor=float(m)) for m in np.linspace(30.0, 250.0, 10)]
+    cli = wpirc.cli
+    configs = []
+    for raw in oracle_configs():
+        cfg = {**cli.DEFAULTS, **raw}
+        oracle_params = cli.build_params(cfg)
+        configs.append((oracle_params, cli._channel(cfg, oracle_params)))
     numpy = CountingNumpy()
     trial_calls = []
     solver._floor_jacobian, solver.Link.__init__ = counted, counted_link
@@ -313,12 +329,16 @@ def counts(wpirc) -> str:
         solver.np = numpy
         for chan in channels:
             wpirc.eq_solve(params, chan)
+        eq_rows, numpy.log1p_rows = numpy.log1p_rows, 0
+        for config in configs:
+            wpirc.equal_power_demand_bound(*config)
     finally:
         solver._floor_jacobian, solver.Link.__init__, solver.np = jacobian, link_init, np
     return (
         f"counts floor_jacobian_per_solve {per_solve:.2f}"
         f" link_pairs_per_solve {pairs_per_solve:.2f}"
-        f" slot_steps_per_eq_solve {numpy.log1p_rows / len(channels):.2f}"
+        f" slot_steps_per_eq_solve {eq_rows / len(channels):.2f}"
+        f" bound_steps_per_oracle {numpy.log1p_rows / len(configs):.2f}"
         f" sweep_stacked_calls {calls[0]}"
         f" sweep_trial_calls_max {max(trial_calls)}"
         f" predictor({'/'.join(PredictorOutcomes.NAMES)})"
