@@ -221,9 +221,18 @@ def comm_rate(gamma, comm_snr, tau2: float, delta_f: float) -> float:
     tau2)``; the ``tau2 -> 0`` limit is defined as 0.
     """
     gamma, snr = _checked_rate_inputs(gamma, comm_snr, tau2)
-    if tau2 == 0.0:
-        return 0.0
-    return float(delta_f * tau2 * np.sum(np.log2(1.0 + gamma * snr / tau2)))
+    return float(_perspective_bits(gamma, snr, tau2, delta_f))
+
+
+def _perspective_bits(gamma, snr, tau2, delta_f: float):
+    """``delta_f * tau2 * sum log2(1 + gamma * snr / tau2)`` over the last
+    axis of ``gamma``, unchecked, with ``tau2`` one value or one per row of
+    ``gamma``; 0 where ``tau2`` is 0, the limit.  Each row is summed as it
+    would be alone."""
+    tau2 = np.asarray(tau2, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bits = delta_f * tau2 * np.sum(np.log2(1.0 + gamma * snr / tau2[..., None]), axis=-1)
+    return np.where(tau2 == 0.0, 0.0, bits)
 
 
 def check_constraints(

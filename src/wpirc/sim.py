@@ -19,7 +19,10 @@ from .benchmark import _eq_solve_batch
 # bound here so that the layer trace (bench/layertrace.py) finds the sweep's
 # solvers under their names; the sweep solves through the batches below
 from .benchmark import eq_solve  # noqa: F401
-from .model import ChannelRealization, Solution, SolveStatus, SystemParams, comm_rate, radar_mi
+from .model import ChannelRealization, Solution, SolveStatus, SystemParams, _perspective_bits
+# bound here because the bench self-tests read them from this module; the
+# CSV's achieved bits come from _achieved_bits
+from .model import comm_rate, radar_mi  # noqa: F401
 from .solver import _solve_batch
 from .solver import solve  # noqa: F401
 
@@ -165,8 +168,10 @@ def _solve_rows(config: SweepConfig, trial: int) -> list[SweepRow]:
             scheme: (_solve_batch if scheme == "op" else _eq_solve_batch)(batch, chan)
             for scheme in config.schemes
         }
+        delta_f = config.base.delta_f
+        achieved = {scheme: _achieved_bits(sols, chan, delta_f) for scheme, sols in solved.items()}
     rows = []
-    for i, (value, params) in enumerate(zip(config.sweep_values, batch)):
+    for i, value in enumerate(config.sweep_values):
         for scheme in config.schemes:
             sol = solved[scheme][i]
             if isinstance(sol, Exception):
@@ -179,8 +184,7 @@ def _solve_rows(config: SweepConfig, trial: int) -> list[SweepRow]:
             if isinstance(sol, Solution):
                 status = sol.status.value
                 energy, tau1, tau2 = sol.energy, sol.tau1, sol.tau2
-                mi = radar_mi(sol.gamma, chan.radar_snr, sol.tau2, params.delta_f)
-                rate = comm_rate(sol.gamma, chan.comm_snr, sol.tau2, params.delta_f)
+                mi, rate = achieved[scheme][i]
             else:
                 status = SolveStatus.ERROR.value
                 energy = tau1 = tau2 = mi = rate = float("nan")
@@ -199,6 +203,19 @@ def _solve_rows(config: SweepConfig, trial: int) -> list[SweepRow]:
                 )
             )
     return rows
+
+
+def _achieved_bits(sols: list, chan: ChannelRealization, delta_f: float) -> list:
+    """The sensing MI and data rate of each solution of one trial's batch,
+    as :func:`wpirc.model.radar_mi` and :func:`wpirc.model.comm_rate` give
+    them, from one ``(k, N_c)`` pass per link: one ``(mi, rate)`` per row,
+    NaN where the row failed."""
+    solved = [sol if isinstance(sol, Solution) else None for sol in sols]
+    gamma = np.array([np.zeros(chan.n_subcarriers) if s is None else s.gamma for s in solved])
+    tau2 = np.array([math.nan if s is None else s.tau2 for s in solved])
+    mi = _perspective_bits(gamma, chan.radar_snr, tau2, 0.5 * delta_f)
+    rate = _perspective_bits(gamma, chan.comm_snr, tau2, delta_f)
+    return list(zip(mi.tolist(), rate.tolist()))
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:

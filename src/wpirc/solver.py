@@ -567,6 +567,8 @@ def _predicted_slot(
 ) -> Generator[tuple, tuple, Optional[tuple]]:
     """A prediction ``(tau2, start)`` of the optimal slot for the ``op``
     time-split search to start from (:func:`_outer_steps`), or ``None``.
+    The search's first probe, ``TIME_TOL * T / 2`` left of ``tau2``, is
+    the solution where the dual bound certifies it.
 
     It is made only where both floors bind at ``T`` (:func:`_single_floor`,
     in closed form); elsewhere the search from ``T`` is free of profile
@@ -839,17 +841,26 @@ def _outer_steps(
     constraint with equality (:func:`_mrt_solution`).
 
     ``first``, a prediction ``(tau2, start)`` of the slot
-    (:func:`_predicted_slot` for ``op``), moves the first probe to ``tau2 +
-    TIME_TOL * T / 2`` (at most ``T``), with that ``start``: a predictor
-    step whose corrector is this search, unchanged.  Where that probe's
-    margin is positive and finite with a positive slope, it lies right of
-    the largest root, and the margin, convex and rising there, is positive
-    on all of ``[tau2, T]``; so the Newton steps from there are as valid as
-    from ``T``.  A prediction within ``TIME_TOL * T / 2`` of the slot then
-    ends after one step, of ``TIME_TOL * T``, that crosses the root.  Where
-    that first probe certifies nothing (a margin that is not positive or
-    not finite, or a slope that is not positive), the search starts again
-    at ``T`` with no start, as it runs without a prediction.
+    (:func:`_predicted_slot` for ``op``), moves the first probe to ``tau2 -
+    TIME_TOL * T / 2`` (the left probe), with that ``start``.  Where its
+    margin is not positive and its answer is an inner allocation whose dual
+    bound ``g`` (:func:`_dual_bound`) meets ``sum(gamma) - g <= |slope|
+    TIME_TOL T``, the energy that one ``TIME_TOL * T`` step of the slot is
+    worth, the probe is the slot: its energy is within the search's
+    resolution of the optimum.  Where its margin is positive and finite
+    with a positive slope, the Newton steps go on from it as below.
+    Otherwise (a larger gap, or an answer without duals) the next probe is
+    at ``tau2 + TIME_TOL * T / 2`` (the right probe, at most ``T``), with
+    that ``start`` again: a predictor step whose corrector is this search,
+    unchanged.  Where a predicted probe's margin is positive and finite
+    with a positive slope, it lies right of the largest root, and the
+    margin, convex and rising there, is positive on all of ``[tau2, T]``;
+    so the Newton steps from there are as valid as from ``T``.  A
+    prediction within ``TIME_TOL * T / 2`` of the slot then ends after one
+    step, of ``TIME_TOL * T``, that crosses the root.  Where the right
+    probe certifies nothing (a margin that is not positive or not finite,
+    or a slope that is not positive), the search starts again at ``T`` with
+    no start, as it runs without a prediction.
 
     The instance is infeasible when the margin is positive on all of (0,
     T].  Each such exit is a certificate, since the tangent at an iterate
@@ -871,20 +882,28 @@ def _outer_steps(
     total_time = params.total_time
     xtol = TIME_TOL * total_time
     tau2, start, predicted = total_time, None, first is not None
+    left = predicted and first[0] > 0.5 * xtol
     if predicted:
-        tau2, start = min(first[0] + 0.5 * xtol, total_time), first[1]
+        right = min(first[0] + 0.5 * xtol, total_time)
+        tau2 = min(first[0] - 0.5 * xtol, total_time) if left else right
+        start = first[1]
     steps = 0
     while steps <= MAX_ITER:
         gamma, slope, start = yield from answer(params, tau2, start)
         total = float(np.sum(gamma))
         margin = total - budget_rate * (total_time - tau2)
+        if left and margin <= 0.0 and isinstance(start, InnerResult):
+            if total - _dual_bound(start, params, budget_rate) <= abs(start.slope) * xtol:
+                return _mrt_solution(params, chan.h, tau2, gamma, total)
         slope += budget_rate
         rising = math.isfinite(margin) and slope > 0.0
         if predicted:
-            predicted = False
             if not (rising and margin > 0.0):
-                tau2, start = total_time, None  # the search from T
+                # after the left probe the right one, after that the search from T
+                tau2, start = (right, first[1]) if left else (total_time, None)
+                predicted, left = left, False
                 continue
+            predicted = left = False
         elif steps and margin <= 0.0:
             return _mrt_solution(params, chan.h, tau2, gamma, total)
         if not rising:
@@ -895,6 +914,38 @@ def _outer_steps(
         tau2 -= step
         steps += 1
     return Solution.empty(SolveStatus.INFEASIBLE, params)
+
+
+def _dual_bound(inner: InnerResult, params: SystemParams, budget_rate: float) -> float:
+    """A lower bound on the least total energy ``sum(gamma)`` of the
+    instance, from its inner allocation ``inner`` at any slot, or ``-inf``
+    where that gives none.
+
+    After maximum-ratio beamforming the problem is convex in ``(gamma,
+    tau2)``: minimize ``sum(gamma)`` subject to the two perspective floors
+    and ``sum(gamma) <= B (T - tau2)`` (:func:`wpirc.model.harvest_rate`).
+    With ``x = gamma / tau2`` and the floors' bits at ``tau2 = 1``,
+    ``bits_1 = (mi, rate) / tau2``, its Lagrange dual at the floor
+    multipliers ``(1 + nu) lambda`` and the budget multiplier ``nu`` is
+    ``g = (1 + nu) lambda . r - nu B T + T min(0, m)``, with ``m = (1 +
+    nu) (sum x - lambda . bits_1) + nu B``, wherever ``x`` minimizes
+    ``sum x - lambda . bits_1``; so it is at the inner allocation's duals
+    ``lambda``, whose profile is the stationary one there (the multiplier
+    search returns the profile of its last evaluation, :meth:`Link.fill`
+    the water-filling at its multiplier).  By weak duality ``g`` is at
+    most the optimum for every ``nu >= 0``.  ``sum x - lambda . bits_1``
+    is ``inner.slope`` (:func:`_inner_result`); with ``d = -inner.slope``
+    the budget multiplier is ``nu = d / (B - d)``, at which ``m`` is 0,
+    where ``0 <= d < B``.
+    """
+    d = -inner.slope
+    if not 0.0 <= d < budget_rate:
+        return -math.inf
+    nu = d / (budget_rate - d)
+    m = (1.0 + nu) * inner.slope + nu * budget_rate
+    floors = inner.duals.lambda_r * params.mi_floor + inner.duals.lambda_c * params.rate_floor
+    total_time = params.total_time
+    return (1.0 + nu) * floors - nu * budget_rate * total_time + total_time * min(0.0, m)
 
 
 def _mrt_solution(params, h, tau2, gamma, total) -> Solution:
@@ -980,9 +1031,11 @@ def solve(
     """Jointly optimal time split, subcarrier energies and beamformer.
 
     Where both floors bind at ``T``, the time-split search starts next to
-    a predicted slot (:func:`_predicted_slot`), else at ``T``.  Each inner
-    allocation starts its multiplier search from the tangent prediction of
-    the previous ``tau2`` probe's answer, or of the predicted slot's at the
+    a predicted slot (:func:`_predicted_slot`), else at ``T``; its first
+    probe there ends it where the dual bound (:func:`_dual_bound`)
+    certifies that probe (:func:`_outer_steps`).  Each inner allocation
+    starts its multiplier search from the tangent prediction of the
+    previous ``tau2`` probe's answer, or of the predicted slot's at the
     first probe (:func:`_warm_start`), and gives the slope of the demand
     for the outer Newton step.
     """

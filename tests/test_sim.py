@@ -118,6 +118,32 @@ class TestRunSweep:
                 assert r.achieved_mi >= r.sweep_value - 1e-6
                 assert r.achieved_rate >= 20.0 - 1e-6
 
+    def test_achieved_bits_are_the_evaluators_bit_for_bit(self, monkeypatch):
+        # one pass over a trial's rows gives what radar_mi and comm_rate give
+        # each row: optimal rows, infeasible ones (tau2 = 0) and a failed one
+        inner_steps = wpirc.solver._inner_steps
+
+        def diverge_at_20_bits(tau2, chan, params, *rest):
+            if params.mi_floor == 20.0:
+                raise SolverError("multiplier search diverged")
+            return (yield from inner_steps(tau2, chan, params, *rest))
+
+        monkeypatch.setattr(wpirc.solver, "_inner_steps", diverge_at_20_bits)
+        cfg = self.small_config(sweep_values=(10.0, 20.0, 30.0, 1e4))
+        rows = run_sweep(cfg)
+        assert {r.status for r in rows} == {"optimal", "infeasible", "error"}
+        for row in rows:
+            if row.status == "error":
+                assert np.isnan(row.achieved_mi) and np.isnan(row.achieved_rate)
+                continue
+            params = replace(cfg.base, mi_floor=row.sweep_value)
+            chan = sample_channel(row.seed, cfg.base, 10.0, 10.0)
+            sol = (wpirc.solver.solve if row.scheme == "op" else eq_solve)(params, chan)
+            mi = wpirc.model.radar_mi(sol.gamma, chan.radar_snr, sol.tau2, params.delta_f)
+            rate = wpirc.model.comm_rate(sol.gamma, chan.comm_snr, sol.tau2, params.delta_f)
+            assert (row.tau2, row.achieved_mi, row.achieved_rate) == (sol.tau2, mi, rate)
+            assert type(row.achieved_mi) is type(row.achieved_rate) is float
+
     def test_shared_channel_across_schemes(self):
         rows = run_sweep(self.small_config())
         seeds = {r.trial: set() for r in rows}

@@ -70,8 +70,8 @@ def count_profile_evaluations(monkeypatch):
 
 
 def test_prediction_halves_the_profile_evaluations(monkeypatch):
-    # 14 per solve from T on these channels; the prediction and two probes
-    # of one evaluation each leave about 8
+    # 14 per solve from T on these channels; the prediction and one probe
+    # of one evaluation leave about 7
     calls = count_profile_evaluations(monkeypatch)
     for seed in range(8):
         params, chan = shape_instance("solve-n1024", seed)

@@ -21,7 +21,8 @@ gate on it.
 
 The ``counts`` line gives the work of the searches on the benchmark shapes:
 ``_floor_jacobian`` calls per ``solve`` on the 96 ``solve-n1024`` channels,
-link pairs built per ``solve`` there (``Link`` objects over 2), Newton
+link pairs built per ``solve`` there (``Link`` objects over 2), time-split
+probes per ``solve`` there (answers that ``_outer_steps`` asks for), Newton
 steps on the total power per ``eq_solve`` on the same channels, both links'
 rows together (the rows of the ``np.log1p`` calls in ``wpirc.solver``: a
 pass over both links' rows makes one call, one row per link and step),
@@ -233,11 +234,12 @@ class PredictorOutcomes:
     """Outcomes of the slot prediction that starts each ``op`` time-split
     search where both floors bind at ``T``: ``one_floor`` (one floor's own
     slot meets the other floor), ``converged`` (the reduced multiplier
-    search), ``declined`` (no prediction) and ``restarted`` (a prediction
-    whose first probe certified nothing, so the search began again at
-    ``T``)."""
+    search), ``declined`` (no prediction), ``restarted`` (a prediction
+    whose probes certified nothing, so the search began again at ``T``) and
+    ``certified`` (a predicted search that returns an optimum at its first
+    probe).  ``probes`` counts the time-split probes of every search."""
 
-    NAMES = ("one_floor", "converged", "declined", "restarted")
+    NAMES = ("one_floor", "converged", "declined", "restarted", "certified")
 
     def __init__(self, solver):
         self.solver = solver
@@ -245,6 +247,7 @@ class PredictorOutcomes:
         self.predict = getattr(solver, "_predicted_slot", None)
         self.outer = solver._outer_steps
         self.tally = dict.fromkeys(self.NAMES, 0)
+        self.probes = 0
 
     def predicted_slot(self, params, chan, pair):
         first = yield from self.predict(params, chan, pair)
@@ -263,19 +266,23 @@ class PredictorOutcomes:
             return answer(params, tau2, start)
 
         result = yield from self.outer(params, chan, spied, first)
+        self.probes += len(probes)
         # a time-split step only shortens the slot: a later probe at T is a restart
         self.tally["restarted"] += params.total_time in probes[1:]
+        optimal = result.status.value == "optimal"
+        self.tally["certified"] += first is not None and len(probes) == 1 and optimal
         return result
 
     def __enter__(self):
+        self.solver._outer_steps = self.outer_steps
         if self.predict is not None:
             self.solver._predicted_slot = self.predicted_slot
-            self.solver._outer_steps = self.outer_steps
         return self
 
     def __exit__(self, *exc):
+        self.solver._outer_steps = self.outer
         if self.predict is not None:
-            self.solver._predicted_slot, self.solver._outer_steps = self.predict, self.outer
+            self.solver._predicted_slot = self.predict
 
     def take(self) -> str:
         if self.predict is None:
@@ -320,6 +327,7 @@ def counts(wpirc) -> str:
                 wpirc.solve(params, chan)
             per_solve, calls[0] = calls[0] / len(channels), 0
             pairs_per_solve = links_built[0] / 2 / len(channels)
+            probes_per_solve = outcomes.probes / len(channels)
             solve_outcomes = outcomes.take()
             for seed in range(24):
                 chan = wpirc.sim.sample_channel(wpirc.sim.trial_seed(seed, 0), base, 10.0, 10.0)
@@ -337,6 +345,7 @@ def counts(wpirc) -> str:
     return (
         f"counts floor_jacobian_per_solve {per_solve:.2f}"
         f" link_pairs_per_solve {pairs_per_solve:.2f}"
+        f" probes_per_solve {probes_per_solve:.2f}"
         f" slot_steps_per_eq_solve {eq_rows / len(channels):.2f}"
         f" bound_steps_per_oracle {numpy.log1p_rows / len(configs):.2f}"
         f" sweep_stacked_calls {calls[0]}"
