@@ -842,25 +842,20 @@ def _outer_steps(
 
     ``first``, a prediction ``(tau2, start)`` of the slot
     (:func:`_predicted_slot` for ``op``), moves the first probe to ``tau2 -
-    TIME_TOL * T / 2`` (the left probe), with that ``start``.  Where its
-    margin is not positive and its answer is an inner allocation whose dual
-    bound ``g`` (:func:`_dual_bound`) meets ``sum(gamma) - g <= |slope|
-    TIME_TOL T``, the energy that one ``TIME_TOL * T`` step of the slot is
-    worth, the probe is the slot: its energy is within the search's
-    resolution of the optimum.  Where its margin is positive and finite
-    with a positive slope, the Newton steps go on from it as below.
-    Otherwise (a larger gap, or an answer without duals) the next probe is
-    at ``tau2 + TIME_TOL * T / 2`` (the right probe, at most ``T``), with
-    that ``start`` again: a predictor step whose corrector is this search,
-    unchanged.  Where a predicted probe's margin is positive and finite
-    with a positive slope, it lies right of the largest root, and the
-    margin, convex and rising there, is positive on all of ``[tau2, T]``;
-    so the Newton steps from there are as valid as from ``T``.  A
-    prediction within ``TIME_TOL * T / 2`` of the slot then ends after one
-    step, of ``TIME_TOL * T``, that crosses the root.  Where the right
-    probe certifies nothing (a margin that is not positive or not finite,
-    or a slope that is not positive), the search starts again at ``T`` with
-    no start, as it runs without a prediction.
+    TIME_TOL * T / 2``, with that ``start``.  Where its margin is not
+    positive and its answer is an inner allocation whose dual bound ``g``
+    (:func:`_dual_bound`) meets ``D - g <= |slope| TIME_TOL T``, the energy
+    that one ``TIME_TOL * T`` step of the slot is worth, the probe is the
+    slot: its energy is within the search's resolution of the optimum.
+    ``D`` is ``sum(gamma)`` moved to the floors themselves, to first order
+    in the multipliers, since the inner allocation meets them only to its
+    tolerance.  Where the probe's margin is positive and finite with a
+    positive slope, it lies right of the largest root, and the margin,
+    convex and rising there, is positive on all of ``[tau2, T]``; so the
+    Newton steps go on from it as validly as from ``T``.  Where it
+    certifies nothing (a larger gap, an answer without duals, a margin that
+    is not finite, or a slope that is not positive), the search starts
+    again at ``T`` with no start, as it runs without a prediction.
 
     The instance is infeasible when the margin is positive on all of (0,
     T].  Each such exit is a certificate, since the tangent at an iterate
@@ -881,29 +876,27 @@ def _outer_steps(
 
     total_time = params.total_time
     xtol = TIME_TOL * total_time
-    tau2, start, predicted = total_time, None, first is not None
-    left = predicted and first[0] > 0.5 * xtol
-    if predicted:
-        right = min(first[0] + 0.5 * xtol, total_time)
-        tau2 = min(first[0] - 0.5 * xtol, total_time) if left else right
-        start = first[1]
+    predicted = first is not None and first[0] > 0.5 * xtol
+    tau2, start = (first[0] - 0.5 * xtol, first[1]) if predicted else (total_time, None)
     steps = 0
     while steps <= MAX_ITER:
         gamma, slope, start = yield from answer(params, tau2, start)
         total = float(np.sum(gamma))
         margin = total - budget_rate * (total_time - tau2)
-        if left and margin <= 0.0 and isinstance(start, InnerResult):
-            if total - _dual_bound(start, params, budget_rate) <= abs(start.slope) * xtol:
+        if predicted and margin <= 0.0 and isinstance(start, InnerResult):
+            lam = start.duals
+            at_floors = lam.lambda_r * (params.mi_floor - start.mi)
+            at_floors += lam.lambda_c * (params.rate_floor - start.rate)
+            gap = total + at_floors - _dual_bound(start, params, budget_rate)
+            if gap <= abs(start.slope) * xtol:
                 return _mrt_solution(params, chan.h, tau2, gamma, total)
         slope += budget_rate
         rising = math.isfinite(margin) and slope > 0.0
         if predicted:
+            predicted = False
             if not (rising and margin > 0.0):
-                # after the left probe the right one, after that the search from T
-                tau2, start = (right, first[1]) if left else (total_time, None)
-                predicted, left = left, False
+                tau2, start = total_time, None  # the search from T
                 continue
-            predicted = left = False
         elif steps and margin <= 0.0:
             return _mrt_solution(params, chan.h, tau2, gamma, total)
         if not rising:
@@ -924,28 +917,23 @@ def _dual_bound(inner: InnerResult, params: SystemParams, budget_rate: float) ->
     After maximum-ratio beamforming the problem is convex in ``(gamma,
     tau2)``: minimize ``sum(gamma)`` subject to the two perspective floors
     and ``sum(gamma) <= B (T - tau2)`` (:func:`wpirc.model.harvest_rate`).
-    With ``x = gamma / tau2`` and the floors' bits at ``tau2 = 1``,
-    ``bits_1 = (mi, rate) / tau2``, its Lagrange dual at the floor
-    multipliers ``(1 + nu) lambda`` and the budget multiplier ``nu`` is
-    ``g = (1 + nu) lambda . r - nu B T + T min(0, m)``, with ``m = (1 +
-    nu) (sum x - lambda . bits_1) + nu B``, wherever ``x`` minimizes
-    ``sum x - lambda . bits_1``; so it is at the inner allocation's duals
-    ``lambda``, whose profile is the stationary one there (the multiplier
-    search returns the profile of its last evaluation, :meth:`Link.fill`
-    the water-filling at its multiplier).  By weak duality ``g`` is at
-    most the optimum for every ``nu >= 0``.  ``sum x - lambda . bits_1``
-    is ``inner.slope`` (:func:`_inner_result`); with ``d = -inner.slope``
-    the budget multiplier is ``nu = d / (B - d)``, at which ``m`` is 0,
-    where ``0 <= d < B``.
+    With ``x = gamma / tau2``, the floors' bits at ``tau2 = 1``, ``bits_1 =
+    (mi, rate) / tau2``, and ``d = lambda . bits_1 - sum x``, its Lagrange
+    dual at the floor multipliers ``(1 + nu) lambda`` and the budget
+    multiplier ``nu = d / (B - d)`` is ``g = B (lambda . r - d T) / (B -
+    d)`` wherever ``0 <= d < B`` and ``x`` minimizes ``sum x - lambda .
+    bits_1``: that ``nu`` makes the Lagrangian constant in ``tau2``.  So it
+    holds at the inner allocation's duals ``lambda``, whose profile is the
+    stationary one there (the multiplier search returns the profile of its
+    last evaluation, :meth:`Link.fill` the water-filling at its
+    multiplier), where ``d`` is ``-inner.slope`` (:func:`_inner_result`).
+    By weak duality ``g`` is at most the optimum.
     """
     d = -inner.slope
     if not 0.0 <= d < budget_rate:
         return -math.inf
-    nu = d / (budget_rate - d)
-    m = (1.0 + nu) * inner.slope + nu * budget_rate
     floors = inner.duals.lambda_r * params.mi_floor + inner.duals.lambda_c * params.rate_floor
-    total_time = params.total_time
-    return (1.0 + nu) * floors - nu * budget_rate * total_time + total_time * min(0.0, m)
+    return budget_rate * (floors - d * params.total_time) / (budget_rate - d)
 
 
 def _mrt_solution(params, h, tau2, gamma, total) -> Solution:

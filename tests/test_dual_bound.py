@@ -6,9 +6,10 @@ so its Lagrange dual at any multipliers bounds the least energy from below
 (``_dual_bound``, at the duals of an inner allocation).  A predicted search
 probes ``TIME_TOL * T / 2`` left of the predicted slot first and returns
 there when the margin is not positive and the bound is within what one
-``TIME_TOL * T`` step of the slot is worth; elsewhere the two-probe
-corrector runs as before.  The reference is that corrector alone: the same
-search with the bound patched to ``-inf``.
+``TIME_TOL * T`` step of the slot is worth; elsewhere the search goes on
+from that probe or from ``T``.  The reference is the two-probe corrector
+that ran before the bound: a first probe ``TIME_TOL * T / 2`` right of
+the predicted slot, then the Newton steps, with no bound.
 """
 import math
 from dataclasses import replace
@@ -24,6 +25,7 @@ from wpirc.model import harvest_rate
 from wpirc.sim import trial_seed, sample_channel
 from wpirc.solver import (
     DUAL_TOL,
+    TIME_TOL,
     _dual_bound,
     _predicted_slot,
     _solve_batch,
@@ -61,9 +63,18 @@ def no_bound(inner, params, budget_rate):
 
 
 def corrector(monkeypatch, run, *args):
-    """``run(*args)`` with the two-probe corrector alone."""
+    """``run(*args)`` by the two-probe corrector: no bound, and the
+    prediction moved one ``TIME_TOL * T`` step right, so the first probe
+    lies ``TIME_TOL * T / 2`` right of the predicted slot."""
+    predict = wpirc.solver._predicted_slot
+
+    def right(params, chan, pair):
+        first = yield from predict(params, chan, pair)
+        return None if first is None else (first[0] + TIME_TOL * params.total_time, first[1])
+
     with monkeypatch.context() as patch:
         patch.setattr(wpirc.solver, "_dual_bound", no_bound)
+        patch.setattr(wpirc.solver, "_predicted_slot", right)
         return run(*args)
 
 
@@ -109,42 +120,91 @@ def test_sweep_rows_make_one_probe_where_the_prediction_converged(monkeypatch, s
     assert probes and set(probes) == {1}
 
 
-@pytest.mark.parametrize("offset", [-1e-8, 1e-8], ids=["left", "right"])
-def test_prediction_off_the_slot_runs_the_corrector(monkeypatch, offset):
+def test_prediction_left_of_the_slot_runs_the_corrector(monkeypatch):
     # 1e-8 T left of the slot the margin is negative but the gap is about
-    # ten steps' worth; right of it the margin is positive, which no bound
-    # can make a solution: the corrector runs, bit for bit as without the
-    # bound, from the right probe or from the left one
+    # ten steps' worth: the search starts again from T, as the corrector's
+    # does after its probe there, bit for bit
     for seed in range(3):
         params, chan = shape_instance("sweep-n128", seed)
         slot = solve(params, chan).tau2
-        predict_at(monkeypatch, slot + offset * T_TOTAL)
+        predict_at(monkeypatch, slot - 1e-8 * T_TOTAL)
         want = corrector(monkeypatch, solve, params, chan)
         searches = spy_probes(monkeypatch)
         same_bits(solve(params, chan), want)
         (batch,) = _solve_batch([params], chan)
         same_bits(batch, want)
-        assert [len(probes) > 1 for _, probes in searches] == [True, True]
+        assert [probes[1] for _, probes in searches] == [T_TOTAL, T_TOTAL]
         monkeypatch.undo()
 
 
-def test_answer_without_an_inner_allocation_runs_the_corrector(monkeypatch):
-    # an allocator that hands nothing on gives no bound
+def test_prediction_right_of_the_slot_goes_on_from_its_probe(monkeypatch):
+    # 1e-8 T right of the slot the margin is positive, which no bound can
+    # make a solution: the Newton steps go on from that probe, bit for bit
+    # as without the bound
+    for seed in range(3):
+        params, chan = shape_instance("sweep-n128", seed)
+        slot = solve(params, chan).tau2
+        predict_at(monkeypatch, slot + 1e-8 * T_TOTAL)
+        with monkeypatch.context() as patch:
+            patch.setattr(wpirc.solver, "_dual_bound", no_bound)
+            want = solve(params, chan)
+        searches = spy_probes(monkeypatch)
+        same_bits(solve(params, chan), want)
+        (batch,) = _solve_batch([params], chan)
+        same_bits(batch, want)
+        for _, probes in searches:
+            assert len(probes) > 1 and probes[1] < probes[0]
+        monkeypatch.undo()
+
+
+def test_answer_without_an_inner_allocation_searches_from_t():
+    # an allocator that hands on its duals alone gives no bound: after the
+    # first probe the search runs as without the prediction, bit for bit
     params, chan = shape_instance("sweep-n128", 0)
-    first = wpirc.solver._run(
-        _predicted_slot(params, chan, links(chan, params.delta_f)),
-        wpirc.solver._jacobian_kernel(chan, params.delta_f),
-    )
     probes = []
 
     def allocator(t2, start):
         probes.append(t2)
         res = inner_allocation(t2, chan, params)
-        return res.gamma, res.slope, None
+        return res.gamma, res.slope, res.duals
 
+    first = wpirc.solver._run(
+        _predicted_slot(params, chan, links(chan, params.delta_f)),
+        wpirc.solver._jacobian_kernel(chan, params.delta_f),
+    )
     sol = solve_with_allocation(params, chan, allocator, first)
-    assert len(probes) > 1
-    assert_corrector_slot(sol, corrector(monkeypatch, solve, params, chan))
+    predicted, probes[:] = probes[:], []
+    same_bits(sol, solve_with_allocation(params, chan, allocator))
+    assert predicted[1:] == probes
+
+
+def test_floors_met_loosely_do_not_certify_a_probe_left_of_the_slot():
+    # a both-floor inner allocation may end with a residual up to 1e3
+    # DUAL_TOL.  An MI short by that much lowers sum(gamma) by lambda_r
+    # times it, here some 300 times what one TIME_TOL * T step is worth, so
+    # a gap on sum(gamma) itself would certify a probe ten steps left of
+    # the slot.  Moved to the floors, the gap still reads the ten steps
+    params, chan = shape_instance("sweep-n128", 0)
+    slot = solve(params, chan).tau2
+    short = 0.999e3 * DUAL_TOL * max(1.0, params.mi_floor)
+    probes = []
+
+    def loose(t2, start):
+        # the same duals and slope, with the MI and energy of a profile
+        # that falls short of the MI floor by `short`, to first order
+        probes.append(t2)
+        res = inner_allocation(t2, chan, params)
+        energy = float(np.sum(res.gamma))
+        gamma = res.gamma * (1.0 - res.duals.lambda_r * short / energy)
+        residual = short / max(1.0, params.mi_floor)
+        res = replace(res, gamma=gamma, mi=res.mi - short, stationarity_residual=residual)
+        return gamma, res.slope, res
+
+    first = (slot - 10.0 * TIME_TOL * T_TOTAL, None)
+    sol = solve_with_allocation(params, chan, loose, first)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert len(probes) > 1 and probes[1] == T_TOTAL
+    assert sol.tau2 - probes[0] > TIME_TOL * T_TOTAL
 
 
 snrs = st.floats(min_value=-40.0, max_value=40.0).map(lambda db: 10.0 ** (db / 10.0))

@@ -127,7 +127,7 @@ def test_a_prediction_that_certifies_nothing_gives_the_search_from_t(monkeypatch
             tau2 = 1e-3 * T_TOTAL
         # what the first probe sees: inside, a margin below zero; left of
         # the smaller root, a margin that falls or is not finite
-        phi, slope = margin(params, chan, tau2 + 0.5 * TIME_TOL * T_TOTAL)
+        phi, slope = margin(params, chan, tau2 - 0.5 * TIME_TOL * T_TOTAL)
         if where == "inside the interval":
             assert phi < 0.0
         else:

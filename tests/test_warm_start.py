@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 
 import wpirc.solver
 from wpirc import ChannelRealization, SolveStatus, eq_solve, inner_allocation, solve
-from wpirc.solver import TIME_TOL, _warm_start, solve_with_allocation
+from wpirc.solver import TIME_TOL, solve_with_allocation
 
 from conftest import T_TOTAL, make_params
 from test_multiplier_search import shape_instance
+from test_slot_prediction import no_prediction
 from test_time_split import reference_eq_solve
 
 
@@ -69,27 +70,28 @@ def test_warm_probes_do_not_start_at_the_last_duals(monkeypatch):
     # Jacobian that are known without a profile evaluation, so a warm
     # multiplier search spends its first one elsewhere.  A solve whose
     # prediction the dual bound certifies makes one probe, so the probes
-    # here are those of the search from T, with solve's warm allocator
-    requests = []
-    jacobian = wpirc.solver._floor_jacobian
+    # here are those of the search from T, without a prediction
+    requests, results = [], []
+    jacobian, inner = wpirc.solver._floor_jacobian, wpirc.solver.inner_allocation
 
     def spy_jacobian(lambda_r, lambda_c, *rest):
         requests.append((float(lambda_r[0, 0]), float(lambda_c[0, 0])))
         return jacobian(lambda_r, lambda_c, *rest)
 
+    def spy_inner(*args):
+        first = len(requests)
+        results.append((first, inner(*args)))
+        return results[-1][1]
+
     monkeypatch.setattr(wpirc.solver, "_floor_jacobian", spy_jacobian)
+    monkeypatch.setattr(wpirc.solver, "inner_allocation", spy_inner)
+    monkeypatch.setattr(wpirc.solver, "_predicted_slot", no_prediction)
     warm_both = 0
     for seed in range(24):
         params, chan = shape_instance("solve-n1024", seed)
-        results = []
-
-        def allocator(t2, prev):
-            first = len(requests)
-            res = inner_allocation(t2, chan, params, _warm_start(prev, t2, params))
-            results.append((first, res))
-            return res.gamma, res.slope, res
-
-        assert solve_with_allocation(params, chan, allocator).status is SolveStatus.OPTIMAL
+        requests.clear()
+        results.clear()
+        assert solve(params, chan).status is SolveStatus.OPTIMAL
         for (_, prev), (first, res) in zip(results, results[1:]):
             if res.active == "both":
                 warm_both += 1

@@ -235,9 +235,9 @@ class PredictorOutcomes:
     search where both floors bind at ``T``: ``one_floor`` (one floor's own
     slot meets the other floor), ``converged`` (the reduced multiplier
     search), ``declined`` (no prediction), ``restarted`` (a prediction
-    whose probes certified nothing, so the search began again at ``T``) and
-    ``certified`` (a predicted search that returns an optimum at its first
-    probe).  ``probes`` counts the time-split probes of every search."""
+    whose first probe certified nothing, so the search began again at
+    ``T``) and ``certified`` (a predicted search that returns an optimum at
+    its first probe).  ``probes`` counts the time-split probes of every search."""
 
     NAMES = ("one_floor", "converged", "declined", "restarted", "certified")
 
