@@ -220,18 +220,24 @@ def feasibility_frontier(
         return -math.inf, toward
 
     def binding_frontier(t2: float, r: float, energy: float) -> Optional[tuple[float, float]]:
-        """Newton on ``D(r) = energy`` from the upper bound ``r``; None where
-        the target's multiplier vanishes, on the domain's edge: there the
-        other floor alone takes the whole budget."""
+        """Newton on ``D(r) = energy`` from the upper bound ``r``.  Where the
+        target's multiplier vanishes the other floor alone meets ``r``: within
+        the budget that is the domain's edge, where the other floor alone
+        takes the whole budget, ``V`` is the target it reaches and its slope
+        is infinite; over the budget it is None."""
         start = None
         for _ in range(MAX_ITER):
             trial = replace(params, **{f"{target}_floor": r})
             res = inner_allocation(t2, chan, trial, start=start)
             start = res.duals
             lam = start.lambda_r if mi_target else start.lambda_c
+            spent = float(np.add.reduce(res.gamma))
             if lam == 0.0:
-                return None
-            step = (float(np.add.reduce(res.gamma)) - energy) / lam
+                if spent > energy:
+                    return None
+                reached = res.mi if mi_target else res.rate
+                return reached, math.copysign(math.inf, -(budget + res.slope))
+            step = (spent - energy) / lam
             r -= step
             if step <= 1e-9 * max(1.0, r):
                 return r, -(budget + res.slope) / lam

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Generator, Optional
+from typing import Callable, Generator, NamedTuple, Optional
 
 import numpy as np
 
@@ -82,34 +82,37 @@ def _gamma_profile(lambda_r, lambda_c, tau2, kernel: _Kernel) -> np.ndarray:
     gains ``v``, ``w`` and subcarrier spacing ``delta_f`` of ``kernel``.
 
     Solves ``1 = A/(1 + x v) + B/(1 + x w)`` for ``x = gamma / tau2`` on
-    each subcarrier, with ``A = lambda_r delta_f v / (2 ln 2)`` and
-    ``B = lambda_c delta_f w / ln 2``; the positive root exists exactly
-    when ``A + B > 1`` and is otherwise clamped to zero.  The multipliers
-    and ``tau2`` may be scalars or ``(k, 1)`` columns, one row of profiles
-    each; every subcarrier is computed alone, so a row does not depend on
-    the others.
+    each subcarrier, with ``A = lambda_r delta_f v / (2 ln 2)`` and ``B =
+    lambda_c delta_f w / ln 2``.  Cleared of its denominators it is the
+    quadratic ``v w x^2 + 2 h x - e = 0`` with ``e = A + B - 1`` and ``2 h
+    = v + w - A w - B v``, which has a positive root exactly when ``e >
+    0``; elsewhere the energy is zero.  Its roots are ``e / s`` and ``-s /
+    (v w)`` with ``s = h + sign(h) sqrt(h^2 + v w e)``, a form without
+    cancellation (``h < 0`` at high water levels), and where ``e > 0`` the
+    larger one is the only positive one.  Where one gain is zero the
+    quadratic is linear, ``s = 2 h = v + w``, and ``e / s`` is its root
+    (the table of ``-1 / (v w)`` reads 0 there).
+    The channel-only constants are the kernel's :class:`_Tables`.  The
+    multipliers and ``tau2`` may be scalars or ``(k, 1)`` columns, one row
+    of profiles each; every subcarrier is computed alone, so a row does not
+    depend on the others.
     """
-    v, w, delta_f = kernel.v, kernel.w, kernel.delta_f
-    both_gains, one_gain, a, two_a, v_plus_w, _, _ = kernel.tables
-    A = lambda_r * delta_f * v / (2.0 * LN2)
-    B = lambda_c * delta_f * w / LN2
-    c = 1.0 - A - B
-    active = c < 0.0
-    both = active & both_gains
-    # one gain zero: its term vanishes, and 1 = A/(1 + x v) or B/(1 + x w)
-    single = active & one_gain
-
-    b = v_plus_w - A * w - B * v
-    # sqrt(b^2 - 4ac) > |b| where both floors act, no overflow
-    root = np.hypot(b, 2.0 * np.sqrt(np.maximum(-a * c, 0.0)))
-    # larger quadratic root, in the form without cancellation for the sign
-    # of b (b + root cancels when b < 0, at high water levels)
-    up = b >= 0.0
-    x = np.zeros(c.shape)
-    np.divide(-2.0 * c, b + root, out=x, where=both & up)
-    np.divide(root - b, two_a, out=x, where=both & ~up)
-    np.divide(-c, v_plus_w, out=x, where=single)
-    return tau2 * np.maximum(x, 0.0)
+    t = kernel.tables
+    weight_r, weight_c = t.weights[:, 0]
+    e = lambda_r * weight_r
+    e += lambda_c * weight_c
+    e -= 1.0
+    # A w + B v = (lambda_r / 2 + lambda_c) delta_f v w / ln 2
+    h = t.half_sum - (0.5 * lambda_r + lambda_c) * (0.5 * kernel.delta_f / LN2) * t.product
+    # sqrt(h^2 + v w e) without overflow; v w e < 0 only where e < 0
+    s = np.multiply(t.product, e)
+    np.maximum(s, 0.0, out=s)
+    np.sqrt(s, out=s)
+    np.hypot(h, s, out=s)
+    np.copysign(s, h, out=s)
+    s += h
+    x = np.maximum(e / s, s * t.neg_inverse)
+    return tau2 * np.where(e > 0.0, x, 0.0)
 
 
 def subcarrier_gamma(
@@ -388,31 +391,48 @@ def _floor_jacobian(lambda_r, lambda_c, tau2, kernel: _Kernel) -> tuple:
     ``D = p v/(1 + x v) + q w/(1 + x w)``.  The returned slopes ``J_rr =
     dMI/dlambda_r``, ``J_rc = dMI/dlambda_c = drate/dlambda_r`` and ``J_cc
     = drate/dlambda_c`` form the negative Hessian of
-    :func:`inner_dual_value`, which is positive semidefinite.  Every result
-    but the ``(k, N_c)`` profiles is a ``(k, 1)`` column.
+    :func:`inner_dual_value`, which is positive semidefinite.  The sensing
+    and data terms of each step are the two rows of one ``(2, k, N_c)``
+    array, and the five sums are one reduction over a ``(5, k, N_c)``
+    buffer, scaled once.  Every result but the ``(k, N_c)`` profiles is a
+    ``(k, 1)`` column.
     """
     gamma = _gamma_profile(lambda_r, lambda_c, tau2, kernel)
-    v, w, delta_f = kernel.v, kernel.w, kernel.delta_f
-    *_, df_v, df_w = kernel.tables
+    t = kernel.tables
     x = gamma / tau2
-    xv, xw = x * v, x * w
-    ev, ew = 1.0 + xv, 1.0 + xw
-    p_per = df_v / (2.0 * LN2 * ev)  # p / lambda_r
-    q_per = df_w / (LN2 * ew)  # q / lambda_c
-    d = lambda_r * p_per * v / ev + lambda_c * q_per * w / ew
+    terms = np.empty((5,) + x.shape)
+    xg = x * t.gains  # x v and x w
+    # log1p keeps the floors accurate when x v or x w is far below 1
+    np.log1p(xg, out=terms[:2])
+    xg += 1.0
+    per = t.weights / xg  # p / lambda_r and q / lambda_c
+    d = per * t.gains
+    d /= xg
+    d = lambda_r * d[0] + lambda_c * d[1]  # D
     # the slopes sum over the active subcarriers only
     inv_d = np.divide(1.0, d, out=np.zeros_like(d), where=x > 0.0)
+    per_d = per * inv_d
+    np.multiply(per[0], per_d, out=terms[2:4])
+    np.multiply(per[1], per_d[1], out=terms[4])
+    sums = np.add.reduce(terms, axis=-1, keepdims=True)
+    sums *= t.scales * tau2
+    return (gamma, *sums)
 
-    def total(terms):
-        return np.add.reduce(terms, axis=-1, keepdims=True)
 
-    # log1p keeps the floors accurate when x v or x w is far below 1
-    mi = 0.5 * delta_f * tau2 * total(np.log1p(xv)) / LN2
-    rate = delta_f * tau2 * total(np.log1p(xw)) / LN2
-    j_rr = tau2 * total(p_per * p_per * inv_d)
-    j_rc = tau2 * total(p_per * q_per * inv_d)
-    j_cc = tau2 * total(q_per * q_per * inv_d)
-    return gamma, mi, rate, j_rr, j_rc, j_cc
+class _Tables(NamedTuple):
+    """The channel-only arrays of the profile kernel (:class:`_Kernel`):
+    ``(2, 1, N_c)`` stacks of a sensing and a data row, and rows."""
+
+    gains: np.ndarray  # v and w
+    weights: np.ndarray  # A / lambda_r = delta_f v / (2 ln 2) and B / lambda_c = delta_f w / ln 2
+    # (v + w) / 2, and 1/2 where that is 0: there e = -1 and the energy is 0
+    # for any h > 0, which keeps e / s finite
+    half_sum: np.ndarray
+    product: np.ndarray  # v w
+    neg_inverse: np.ndarray  # -1 / (v w), and 0 where v w is 0
+    # (5, 1, 1): delta_f / (2 ln 2) for the MI, delta_f / ln 2 for the rate
+    # and 1 for each slope
+    scales: np.ndarray
 
 
 class _Kernel:
@@ -420,27 +440,34 @@ class _Kernel:
     (sensing) and ``w`` (data) at subcarrier spacing ``delta_f``: for a
     list of ``(lambda_r, lambda_c, tau2)`` requests, one stacked
     :func:`_floor_jacobian` call, split into one ``(gamma, mi, rate, j_rr,
-    j_rc, j_cc)`` answer per request."""
+    j_rc, j_cc)`` answer per request.  Its channel-only arrays are the
+    named fields of :attr:`tables`."""
 
     def __init__(self, v: np.ndarray, w: np.ndarray, delta_f: float) -> None:
         self.v, self.w, self.delta_f = v, w, delta_f
 
     @cached_property
-    def tables(self) -> tuple:
-        """The channel-only arrays of a profile: ``(v > 0) & (w > 0)``, the
-        mask of one positive gain, ``v w``, ``2 v w``, ``v + w``, ``delta_f
-        v`` and ``delta_f w``.  Built at the first profile, not with the
-        kernel: they can overflow on a channel that never needs one."""
-        v, w = self.v, self.w
-        both = (v > 0) & (w > 0)
-        vw, v_plus_w = v * w, v + w
-        df_v, df_w = self.delta_f * v, self.delta_f * w
-        return both, ~both & (v_plus_w > 0), vw, 2.0 * vw, v_plus_w, df_v, df_w
+    def tables(self) -> _Tables:
+        """The kernel's :class:`_Tables`.  Built at the first profile, not
+        with the kernel: they can overflow on a channel that never needs
+        one."""
+        v, w, delta_f = self.v, self.w, self.delta_f
+        product = v * w
+        half_sum = 0.5 * (v + w)
+        half_sum[half_sum == 0.0] = 0.5
+        return _Tables(
+            gains=np.stack([v, w])[:, None],
+            weights=np.stack([delta_f * v / (2.0 * LN2), delta_f * w / LN2])[:, None],
+            half_sum=half_sum,
+            product=product,
+            neg_inverse=np.divide(-1.0, product, out=np.zeros_like(product), where=product > 0.0),
+            scales=np.array([0.5 * delta_f / LN2, delta_f / LN2, 1.0, 1.0, 1.0])[:, None, None],
+        )
 
     def __call__(self, requests: list) -> list:
         lambda_r, lambda_c, tau2 = np.array(requests).T[..., None]
         gamma, *floors = _floor_jacobian(lambda_r, lambda_c, tau2, self)
-        return list(zip(gamma, *(f.ravel().tolist() for f in floors)))
+        return list(zip(gamma, *np.concatenate(floors, axis=1).T.tolist()))
 
 
 def _jacobian_kernel(chan: ChannelRealization, delta_f: float) -> _Kernel:

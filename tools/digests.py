@@ -12,7 +12,8 @@ the lines.  ``--dump FILE`` also writes each set's values as JSON: one
 ``[status, value, tau2 / T]`` entry per output, with the energy (the
 frontier's bits for ``frontier``) as the value, the exception's type and
 message as the status of a call that raised, and NaN where an entry has no
-such value.  ``--compare OLD NEW`` reads two dumps and prints, for each set,
+such value; the ``kernel`` set's entries are ``[name, value, NaN]``, one
+per quantity of a request.  ``--compare OLD NEW`` reads two dumps and prints, for each set,
 the number of status mismatches, the largest relative difference of the
 values and the largest ``|d tau2| / T``: the check for a change that moves
 output bits on purpose.  It exits 1 when a status differs or a set has a
@@ -46,7 +47,15 @@ The sets are the benchmark workloads' inputs plus a random set:
   channels, targets mi (rate floor 20) and rate (MI floor 20), op and eq;
 - ``sweep-csv``: the 24-trial criterion-4 sweep CSV (master seed 0);
 - ``oracle-check``: stdout and exit code of ``wpirc oracle-check`` on the
-  32 ``oracle-n2`` configs.
+  32 ``oracle-n2`` configs;
+- ``kernel``: the profile kernel alone, ``solver._floor_jacobian`` on the 96
+  ``solve-n1024`` channels, each asked a fixed 5 x 5 grid of multipliers
+  (``2 ln 2 / delta_f`` times 1e-2 ... 1e2 each, the thresholds of SNRs
+  from 1e2 down to 1e-2) at ``tau2 = T / 2`` as one stacked call: the bytes
+  of the profiles and of the five columns, and per request the sum of the
+  profile, the MI, the rate and the three slopes as values.  Its requests
+  do not depend on the searches, so ``--compare`` on it gives the kernel's
+  own drift apart from the solver's.
 
 It takes a few seconds on one core.
 """
@@ -206,12 +215,31 @@ def oracle_check(wpirc, digest, values) -> None:
             values.append([f"exit {code}", math.nan, math.nan])
 
 
+def kernel(wpirc, digest, values) -> None:
+    params = solve_n1024_params(wpirc)
+    unit = 2.0 * math.log(2.0) / params.delta_f
+    grid = [(unit * 10.0**i, unit * 10.0**j) for i in range(-2, 3) for j in range(-2, 3)]
+    lambda_r, lambda_c = (np.array(col)[:, None] for col in zip(*grid))
+    tau2 = np.full_like(lambda_r, 0.5 * params.total_time)
+    names = ("gamma_sum", "mi", "rate", "j_rr", "j_rc", "j_cc")
+    for seed in range(96):
+        chan = wpirc.sim.sample_channel(seed, params, 10.0, 10.0)
+        jacobian = wpirc.solver._jacobian_kernel(chan, params.delta_f)
+        gamma, *floors = wpirc.solver._floor_jacobian(lambda_r, lambda_c, tau2, jacobian)
+        for array in (gamma, *floors):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        columns = np.hstack([gamma.sum(axis=1, keepdims=True), *floors])
+        for row in columns.tolist():
+            values.extend([name, value, math.nan] for name, value in zip(names, row))
+
+
 SETS = {
     "solve-n1024": solve_n1024,
     "random-rows": random_rows,
     "frontier": frontier,
     "sweep-csv": sweep_csv,
     "oracle-check": oracle_check,
+    "kernel": kernel,
 }
 
 
