@@ -373,4 +373,4 @@ def brute_force_oracle(
 
     # a positive floor needs positive energy, which a fitting point has only
     # where tau2 < T
-    return _mrt_solution(params, chan.h, *best, best_s)
+    return _mrt_solution(params, chan, *best, best_s)

@@ -134,9 +134,11 @@ class Link:
     SNRs ``s`` and the powers ``x = gamma / tau2``, a perspective of a
     concave function, with ``scale = delta_f / 2`` for the sensing MI and
     ``delta_f`` for the data rate (:func:`links`).  The sorted table of
-    :meth:`fill` and :meth:`pour` is built on first use and kept.  The
-    least even split that meets a floor is :func:`_spread_slots`', which
-    needs no table.
+    :meth:`fill`, :meth:`pour` and :meth:`powers` is built on first use and
+    kept.  :meth:`pour` gives the water level of a total power, and
+    :meth:`powers` the powers at a level, so a search over the total builds
+    them once, where it stops.  The least even split that meets a floor is
+    :func:`_spread_slots`', which needs no table.
     """
 
     def __init__(self, snr: np.ndarray, scale: float) -> None:
@@ -145,11 +147,11 @@ class Link:
 
     @cached_property
     def _sorted(self) -> tuple:
-        """Tables of :meth:`fill` and :meth:`pour`: with the positive SNRs
-        ``s_k`` in decreasing order, the sums ``L_k`` of their first ``k``
-        log2, ``theta_k = L_k - k log2 s_k``, the sums ``C_k`` of the first
-        ``k`` inverses and ``k / s_k - C_k``; and ``1 / s`` in the link's
-        order (inf at 0)."""
+        """Tables of :meth:`fill`, :meth:`pour` and :meth:`powers`: with the
+        positive SNRs ``s_k`` in decreasing order, the sums ``L_k`` of their
+        first ``k`` log2, ``theta_k = L_k - k log2 s_k``, the sums ``C_k`` of
+        the first ``k`` inverses and ``k / s_k - C_k``; and ``1 / s`` in the
+        link's order (inf at 0)."""
         pos = self.snr > 0
         s = np.sort(self.snr[pos])[::-1]
         log_s = np.log2(s)
@@ -186,19 +188,25 @@ class Link:
         level = 2.0**exponent
         return np.maximum(level - inv, 0.0), level * LN2 / self.scale
 
-    def pour(self, total: float) -> tuple[float, float, np.ndarray]:
+    def pour(self, total: float) -> tuple[float, float, float]:
         """Water-filling of the total power ``total > 0``: ``(G, dG/dtotal,
-        x)`` with ``G = sum log2(1 + x s)``; the link needs a positive SNR.
+        a)`` with ``G = sum log2(1 + x s)`` and the water level ``a`` of the
+        powers ``x`` (:meth:`powers`); the link needs a positive SNR.
 
         The powers are ``x = max(0, a - 1/s)`` with ``sum x = total``.  The
         ``k`` strongest subcarriers are above water when ``total`` exceeds
         ``k / s_k - C_k``, and then ``a = (total + C_k) / k``, ``G = k log2 a
         + L_k`` and ``dG/dtotal = 1 / (a ln 2)``.
         """
-        log_sum, _, inv_sum, theta, inv = self._sorted
+        log_sum, _, inv_sum, theta, _ = self._sorted
         k = int(np.searchsorted(theta, total))  # theta[0] = 0 < total
         a = (total + inv_sum[k - 1]) / k
-        return k * math.log2(a) + log_sum[k - 1], 1.0 / (a * LN2), np.maximum(a - inv, 0.0)
+        return k * math.log2(a) + log_sum[k - 1], 1.0 / (a * LN2), a
+
+    def powers(self, level: float) -> np.ndarray:
+        """The water-filling powers ``x = max(0, a - 1/s)`` at the level ``a``
+        (:meth:`pour`)."""
+        return np.maximum(level - self._sorted[4], 0.0)
 
     def spread(self, total: float) -> tuple[float, float, float]:
         """The even split of the total power ``total``: ``(G, dG/dtotal,
@@ -268,12 +276,13 @@ def _spread_slots(
 
 @lru_cache(maxsize=1)
 def _channel_tables(chan: ChannelRealization, delta_f: float) -> tuple:
-    """The sensing and data links of a channel and its profile kernel
-    (:class:`_Kernel`), kept for the most recent channel alone, so that
-    every entry point shares one set of tables.  A channel's arrays are
-    read-only and it is hashed by identity: the tables cannot go stale."""
+    """The sensing and data links of a channel, its profile kernel
+    (:class:`_Kernel`) and its beam table (:class:`_Beam`), kept for the
+    most recent channel alone, so that every entry point shares one set of
+    tables.  A channel's arrays are read-only and it is hashed by identity:
+    the tables cannot go stale."""
     v, w = chan.radar_snr, chan.comm_snr
-    return (Link(v, 0.5 * delta_f), Link(w, delta_f)), _Kernel(v, w, delta_f)
+    return (Link(v, 0.5 * delta_f), Link(w, delta_f)), _Kernel(v, w, delta_f), _Beam(chan.h)
 
 
 def links(chan: ChannelRealization, delta_f: float) -> tuple[Link, Link]:
@@ -639,18 +648,20 @@ def _one_floor_slot(link: Link, floor: float, budget_rate: float, total_time: fl
     floor at ``T`` it reads ``-floor S < 0``, so Newton steps from there
     rise monotonically to its smallest root, the largest slot; a slope that
     is not positive on the way means that ``h`` has no root.  ``MAX_ITER``
-    caps the steps (a near-tangent ``h``), and ends with ``None`` too.
+    caps the steps (a near-tangent ``h``), and ends with ``None`` too.  The
+    steps need only the water level; the powers are built once, at the
+    slot (:meth:`Link.powers`).
     """
     total = float(np.add.reduce(link.fill(floor, total_time)[0]))
     scale = link.scale * budget_rate * total_time
     for _ in range(MAX_ITER):
-        g, grad, x = link.pour(total)
+        g, grad, level = link.pour(total)
         slope = scale * grad - floor
         step = (floor * (total + budget_rate) - scale * g) / slope if slope > 0.0 else math.nan
         if not math.isfinite(step):
             return None
         if step <= 1e-13 * total:
-            return budget_rate * total_time / (total + budget_rate), x
+            return budget_rate * total_time / (total + budget_rate), link.powers(level)
         total += step
     return None
 
@@ -811,9 +822,34 @@ def mrt_covariance(
     hn2 = float(np.real(np.vdot(h, h)))
     if hn2 == 0.0 or eta <= 0.0:
         raise ValueError("positive demand with no harvestable channel")
-    q = (s / (eta * hn2 * hn2)) * np.outer(h, h.conj())
-    q = 0.5 * (q + q.conj().T)
-    return q, s / (eta * hn2)
+    return (s / eta) * _unit_covariance(h, hn2), s / (eta * hn2)
+
+
+def _unit_covariance(h: np.ndarray, hn2: float) -> np.ndarray:
+    """``h h^H / ||h||^4``, made exactly Hermitian, for ``||h||^2 = hn2 >
+    0``: the maximum-ratio covariance per unit of ``S / eta``."""
+    q = np.outer(h, h.conj()) / (hn2 * hn2)
+    return 0.5 * (q + q.conj().T)
+
+
+class _Beam:
+    """The maximum-ratio beam table of a channel vector ``h``: every
+    optimal row on the channel scales :attr:`unit` (:func:`_mrt_solution`)."""
+
+    def __init__(self, h: np.ndarray) -> None:
+        self.h = h
+
+    @cached_property
+    def unit(self) -> tuple[float, np.ndarray, np.ndarray]:
+        """``||h||^2``, the unit covariance (:func:`_unit_covariance`) and the
+        unit beam ``h / ||h||^2``, phased as
+        :func:`wpirc.certify.rank_one_extract` phases the leading
+        eigenvector, first nonvanishing entry real.  Built at the first
+        optimal row, not with the table: a channel with ``h = 0`` has none."""
+        h = self.h
+        hn2 = float(np.real(np.vdot(h, h)))
+        lead = h[np.flatnonzero(np.abs(h) > 1e-12 * math.sqrt(hn2))[0]]
+        return hn2, _unit_covariance(h, hn2), (np.conj(lead) / (abs(lead) * hn2)) * h
 
 
 def solve_with_allocation(
@@ -916,7 +952,7 @@ def _outer_steps(
             at_floors += lam.lambda_c * (params.rate_floor - start.rate)
             gap = total + at_floors - _dual_bound(start, params, budget_rate)
             if gap <= abs(start.slope) * xtol:
-                return _mrt_solution(params, chan.h, tau2, gamma, total)
+                return _mrt_solution(params, chan, tau2, gamma, total)
         slope += budget_rate
         rising = math.isfinite(margin) and slope > 0.0
         if predicted:
@@ -925,7 +961,7 @@ def _outer_steps(
                 tau2, start = total_time, None  # the search from T
                 continue
         elif steps and margin <= 0.0:
-            return _mrt_solution(params, chan.h, tau2, gamma, total)
+            return _mrt_solution(params, chan, tau2, gamma, total)
         if not rising:
             break
         step = max(margin / slope, xtol)
@@ -963,26 +999,24 @@ def _dual_bound(inner: InnerResult, params: SystemParams, budget_rate: float) ->
     return budget_rate * (floors - d * params.total_time) / (budget_rate - d)
 
 
-def _mrt_solution(params, h, tau2, gamma, total) -> Solution:
-    """The optimal point with time split ``tau2 < T`` and profile ``gamma``
-    of total ``total``: the maximum-ratio covariance ``c h h^H`` meets the
-    harvest with equality, and its beam is ``sqrt(S / (eta ||h||^4 tau1))
-    h``, phased as :func:`wpirc.certify.rank_one_extract` phases the
-    leading eigenvector, first nonvanishing entry real."""
-    hn2 = float(np.real(np.vdot(h, h)))
+def _mrt_solution(params, chan, tau2, gamma, total) -> Solution:
+    """The optimal point on ``chan`` with time split ``tau2 < T`` and
+    profile ``gamma`` of total ``S = total``: the maximum-ratio covariance
+    ``S / (eta ||h||^4) h h^H`` (:func:`mrt_covariance`) meets the harvest
+    with equality, and its beam is ``sqrt(S / (eta ||h||^4 tau1)) h``.
+    Both are the channel's beam table (:class:`_Beam`) times a scalar, each
+    a new array."""
+    hn2, covariance, beam = _channel_tables(chan, params.delta_f)[2].unit
     tau1 = params.total_time - tau2
-    q_bar, trace = mrt_covariance(h, total, params.efficiency)
-    lead = h[np.flatnonzero(np.abs(h) > 1e-12 * math.sqrt(hn2))[0]]
-    scale = math.sqrt(total / (params.efficiency * hn2 * hn2 * tau1))
-    beam = (scale * np.conj(lead) / abs(lead)) * h
+    demand = total / params.efficiency
     return Solution(
         status=SolveStatus.OPTIMAL,
-        beam_vector=beam,
+        beam_vector=math.sqrt(demand / tau1) * beam,
         tau1=tau1,
         tau2=tau2,
         gamma=gamma,
-        energy=trace,
-        covariance_bar=q_bar,
+        energy=total / (params.efficiency * hn2),
+        covariance_bar=demand * covariance,
     )
 
 

@@ -131,7 +131,7 @@ def dense_grid_oracle(params, chan, grid):
         return Solution.empty(SolveStatus.INFEASIBLE, params)
 
     tau2, gamma = best
-    return _mrt_solution(params, chan.h, tau2, gamma, best_s)
+    return _mrt_solution(params, chan, tau2, gamma, best_s)
 
 
 def criterion_1_instances():

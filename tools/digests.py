@@ -31,9 +31,12 @@ the same rows per ``equal_power_demand_bound`` call on the 32 ``oracle-n2``
 configs (on its default grid of 200 time splits), the
 stacked ``_floor_jacobian`` calls of ``_solve_batch`` over the 24 ``sweep-n128``
 trials (master seeds 0-23, one trial each) and the most that one of those
-trials makes, and the outcomes of the ``op`` slot prediction
-(``PredictorOutcomes``) on the ``solve-n1024`` solves and on the sweep
-trials' rows, ``-`` for a tree without one.  Each repeats exactly.
+trials makes, the beam tables (``solver._Beam.unit``) built per sweep trial
+(its ``op`` and ``eq`` rows together), the ``Link.powers`` calls per
+``_one_floor_slot`` call in those trials, and the outcomes of the ``op``
+slot prediction (``PredictorOutcomes``) on the ``solve-n1024`` solves and on
+the sweep trials' rows.  A count reads ``-`` for a tree without what it
+counts.  Each repeats exactly.
 
 The sets are the benchmark workloads' inputs plus a random set:
 
@@ -320,6 +323,33 @@ class PredictorOutcomes:
         return line
 
 
+class Tally:
+    """Calls of ``obj.name`` counted while in use; ``-`` where ``obj`` is
+    ``None`` or has no ``name``, as on a tree without what it counts."""
+
+    def __init__(self, obj, name: str):
+        self.obj, self.name = obj, name
+        self.original = getattr(obj, name, None)
+        self.calls = 0
+
+    def __enter__(self):
+        if self.original is not None:
+
+            def counted(*args, **kwargs):
+                self.calls += 1
+                return self.original(*args, **kwargs)
+
+            setattr(self.obj, self.name, counted)
+        return self
+
+    def __exit__(self, *exc):
+        if self.original is not None:
+            setattr(self.obj, self.name, self.original)
+
+    def per(self, n: int) -> str:
+        return "-" if self.original is None or not n else f"{self.calls / n:.2f}"
+
+
 def counts(wpirc) -> str:
     """The ``counts`` line: the searches' work on the benchmark shapes."""
     solver = wpirc.solver
@@ -357,10 +387,18 @@ def counts(wpirc) -> str:
             pairs_per_solve = links_built[0] / 2 / len(channels)
             probes_per_solve = outcomes.probes / len(channels)
             solve_outcomes = outcomes.take()
-            for seed in range(24):
-                chan = wpirc.sim.sample_channel(wpirc.sim.trial_seed(seed, 0), base, 10.0, 10.0)
-                solver._solve_batch(rows, chan)
-                trial_calls.append(calls[0] - sum(trial_calls))
+            # a beam table is built by its cached_property's func
+            unit = getattr(getattr(solver, "_Beam", None), "unit", None)
+            with (
+                Tally(unit, "func") as tables,
+                Tally(solver.Link, "powers") as powers,
+                Tally(solver, "_one_floor_slot") as slots,
+            ):
+                for seed in range(24):
+                    chan = wpirc.sim.sample_channel(wpirc.sim.trial_seed(seed, 0), base, 10.0, 10.0)
+                    solver._solve_batch(rows, chan)
+                    trial_calls.append(calls[0] - sum(trial_calls))
+                    wpirc.benchmark._eq_solve_batch(rows, chan)
             sweep_outcomes = outcomes.take()
         solver.np = numpy
         for chan in channels:
@@ -378,6 +416,8 @@ def counts(wpirc) -> str:
         f" bound_steps_per_oracle {numpy.log1p_rows / len(configs):.2f}"
         f" sweep_stacked_calls {calls[0]}"
         f" sweep_trial_calls_max {max(trial_calls)}"
+        f" beam_tables_per_trial {tables.per(len(trial_calls))}"
+        f" powers_per_one_floor_slot {powers.per(slots.calls)}"
         f" predictor({'/'.join(PredictorOutcomes.NAMES)})"
         f" solve {solve_outcomes} sweep {sweep_outcomes}"
     )
