@@ -202,17 +202,15 @@ def feasibility_frontier(
 
     def reach(link: Link, t2: float) -> tuple:
         """The link's bits ``scale t2 G(X)`` with the whole budget at ``t2``,
-        poured or spread, their slope and the level: the water level of the
-        poured powers (:meth:`wpirc.solver.Link.powers`), the common power
-        of the spread ones.  The total power ``X = B (T - t2) / t2`` has
-        ``dX/dt2 = -(X + B) / t2``."""
+        poured or spread, their slope and the powers: an array where
+        poured, the common power where spread.  The total power ``X = B (T -
+        t2) / t2`` has ``dX/dt2 = -(X + B) / t2``."""
         total = budget * (total_time - t2) / t2
-        g, grad, level = allocate(link, total)
-        return link.scale * t2 * g, link.scale * (g - (total + budget) * grad), level
+        g, grad, x = allocate(link, total)
+        return link.scale * t2 * g, link.scale * (g - (total + budget) * grad), x
 
     def value(t2: float) -> tuple[float, float]:
-        bits, slope, level = reach(link_t, t2)
-        x = link_t.powers(level) if scheme == "op" else level
+        bits, slope, x = reach(link_t, t2)
         if link_o.bits(x, t2) >= other:
             return bits, slope
         most, toward, _ = reach(link_o, t2)

@@ -134,11 +134,9 @@ class Link:
     SNRs ``s`` and the powers ``x = gamma / tau2``, a perspective of a
     concave function, with ``scale = delta_f / 2`` for the sensing MI and
     ``delta_f`` for the data rate (:func:`links`).  The sorted table of
-    :meth:`fill`, :meth:`pour` and :meth:`powers` is built on first use and
-    kept.  :meth:`pour` gives the water level of a total power, and
-    :meth:`powers` the powers at a level, so a search over the total builds
-    them once, where it stops.  The least even split that meets a floor is
-    :func:`_spread_slots`', which needs no table.
+    :meth:`fill` and :meth:`pour` is built on first use and kept.  The
+    least even split that meets a floor is :func:`_spread_slots`', which
+    needs no table.
     """
 
     def __init__(self, snr: np.ndarray, scale: float) -> None:
@@ -147,11 +145,11 @@ class Link:
 
     @cached_property
     def _sorted(self) -> tuple:
-        """Tables of :meth:`fill`, :meth:`pour` and :meth:`powers`: with the
-        positive SNRs ``s_k`` in decreasing order, the sums ``L_k`` of their
-        first ``k`` log2, ``theta_k = L_k - k log2 s_k``, the sums ``C_k`` of
-        the first ``k`` inverses and ``k / s_k - C_k``; and ``1 / s`` in the
-        link's order (inf at 0)."""
+        """Tables of :meth:`fill` and :meth:`pour`: with the positive SNRs
+        ``s_k`` in decreasing order, the sums ``L_k`` of their first ``k``
+        log2, ``theta_k = L_k - k log2 s_k``, the sums ``C_k`` of the first
+        ``k`` inverses and ``k / s_k - C_k``; and ``1 / s`` in the link's
+        order (inf at 0)."""
         pos = self.snr > 0
         s = np.sort(self.snr[pos])[::-1]
         log_s = np.log2(s)
@@ -182,31 +180,25 @@ class Link:
         log_sum, theta, _, _, inv = self._sorted
         target = floor / (self.scale * tau2)
         # below theta_1 = 0 no level is consistent: all subcarriers count as active
-        k = int(np.searchsorted(theta, target, side="right")) or log_sum.size
+        k = int(theta.searchsorted(target, side="right")) or log_sum.size
         if not k or (exponent := (target - float(log_sum[k - 1])) / k) > 1000.0:
             return np.full_like(self.snr, math.inf), math.inf
         level = 2.0**exponent
         return np.maximum(level - inv, 0.0), level * LN2 / self.scale
 
-    def pour(self, total: float) -> tuple[float, float, float]:
+    def pour(self, total: float) -> tuple[float, float, np.ndarray]:
         """Water-filling of the total power ``total > 0``: ``(G, dG/dtotal,
-        a)`` with ``G = sum log2(1 + x s)`` and the water level ``a`` of the
-        powers ``x`` (:meth:`powers`); the link needs a positive SNR.
+        x)`` with ``G = sum log2(1 + x s)``; the link needs a positive SNR.
 
         The powers are ``x = max(0, a - 1/s)`` with ``sum x = total``.  The
         ``k`` strongest subcarriers are above water when ``total`` exceeds
         ``k / s_k - C_k``, and then ``a = (total + C_k) / k``, ``G = k log2 a
         + L_k`` and ``dG/dtotal = 1 / (a ln 2)``.
         """
-        log_sum, _, inv_sum, theta, _ = self._sorted
-        k = int(np.searchsorted(theta, total))  # theta[0] = 0 < total
+        log_sum, _, inv_sum, theta, inv = self._sorted
+        k = int(theta.searchsorted(total))  # theta[0] = 0 < total
         a = (total + inv_sum[k - 1]) / k
-        return k * math.log2(a) + log_sum[k - 1], 1.0 / (a * LN2), a
-
-    def powers(self, level: float) -> np.ndarray:
-        """The water-filling powers ``x = max(0, a - 1/s)`` at the level ``a``
-        (:meth:`pour`)."""
-        return np.maximum(level - self._sorted[4], 0.0)
+        return k * math.log2(a) + log_sum[k - 1], 1.0 / (a * LN2), np.maximum(a - inv, 0.0)
 
     def spread(self, total: float) -> tuple[float, float, float]:
         """The even split of the total power ``total``: ``(G, dG/dtotal,
@@ -608,15 +600,12 @@ def _predicted_slot(
 
     It is made only where both floors bind at ``T`` (:func:`_single_floor`,
     in closed form); elsewhere the search from ``T`` is free of profile
-    evaluations already.  First each floor alone: where the other floor
-    holds at one floor's own slot (:func:`_one_floor_slot`), that slot is
-    the optimum, with no profile evaluation and ``start = None``.  Where a
-    floor alone has no slot the instance is infeasible, which the search
-    from ``T`` certifies (as it decides wherever no slot is found).
-    Otherwise both floors bind at the optimum, and the reduced multiplier
-    search (:func:`_reduced_multipliers`) predicts the slot and the inner
-    allocation that the first probe starts from; it yields ``(mu_r, mu_c,
-    1.0)`` requests to :func:`_jacobian_kernel`.
+    evaluations already.  The reduced multiplier search
+    (:func:`_reduced_multipliers`) then predicts the slot where both floors
+    bind and the inner allocation that the first probe starts from; it
+    yields ``(mu_r, mu_c, 1.0)`` requests to :func:`_jacobian_kernel`.
+    Where the optimum binds one floor alone, or no slot meets both, that
+    search has no root and declines, and the search from ``T`` decides.
     """
     _validate_instance(params, chan)
     budget_rate = harvest_rate(params, chan)
@@ -626,44 +615,7 @@ def _predicted_slot(
     single, lam_r1, lam_c1 = _single_floor(params.total_time, pair, params)
     if single is not None:
         return None
-    radar, comm = pair
-    for link, floor, other, other_floor in ((radar, r_r, comm, r_c), (comm, r_c, radar, r_r)):
-        alone = _one_floor_slot(link, floor, budget_rate, params.total_time)
-        if alone is None:
-            return None
-        tau2, x = alone
-        if other.bits(x, tau2) >= other_floor - DUAL_TOL * max(1.0, other_floor):
-            return tau2, None
     return (yield from _reduced_multipliers(params, budget_rate, lam_r1, lam_c1))
-
-
-def _one_floor_slot(link: Link, floor: float, budget_rate: float, total_time: float):
-    """The largest slot at which ``link``'s floor alone is met within the
-    budget, with its powers, or ``None`` where no slot is.
-
-    With the budget binding, ``tau2 = B T / (S + B)`` for the total power
-    ``S``, and the floor holds where ``h(S) = scale B T G(S) - floor (S +
-    B) >= 0``, with ``G`` the bits of the water-filling of ``S``
-    (:meth:`Link.pour`).  ``h`` is concave.  At the powers that meet the
-    floor at ``T`` it reads ``-floor S < 0``, so Newton steps from there
-    rise monotonically to its smallest root, the largest slot; a slope that
-    is not positive on the way means that ``h`` has no root.  ``MAX_ITER``
-    caps the steps (a near-tangent ``h``), and ends with ``None`` too.  The
-    steps need only the water level; the powers are built once, at the
-    slot (:meth:`Link.powers`).
-    """
-    total = float(np.add.reduce(link.fill(floor, total_time)[0]))
-    scale = link.scale * budget_rate * total_time
-    for _ in range(MAX_ITER):
-        g, grad, level = link.pour(total)
-        slope = scale * grad - floor
-        step = (floor * (total + budget_rate) - scale * g) / slope if slope > 0.0 else math.nan
-        if not math.isfinite(step):
-            return None
-        if step <= 1e-13 * total:
-            return budget_rate * total_time / (total + budget_rate), link.powers(level)
-        total += step
-    return None
 
 
 PREDICT_CALLS = 14  # profile evaluations that a reduced search may spend

@@ -1,15 +1,14 @@
-"""The channel's beam table and the one-floor slot search without per-step
-powers.
+"""The channel's beam table, and ``Link.pour`` against its reference.
 
 Every optimal row on a channel has a covariance and a beam that are scalar
 multiples of one matrix and one vector, so ``solver._mrt_solution`` scales
 the channel's beam table (``solver._Beam``, kept in
 ``solver._channel_tables``) instead of rebuilding both from ``h``.  The
 references below are the arithmetic that built them from ``h`` per row,
-and the one-floor slot search that built the powers at every Newton step.
-The table rounds differently, so its covariance and beam agree with the
-reference to rounding (1e-15 relative to their largest entry), its energy
-bit for bit; the slot search does the same arithmetic, bit for bit.
+and the water-filling of a total power.  The table rounds differently,
+so its covariance and beam agree with the reference to rounding (1e-15
+relative to their largest entry), its energy bit for bit; ``pour`` does
+the same arithmetic, bit for bit.
 """
 import math
 import struct
@@ -29,7 +28,6 @@ from wpirc.solver import (
     _Beam,
     _channel_tables,
     _mrt_solution,
-    _one_floor_slot,
     _solve_batch,
 )
 
@@ -50,28 +48,11 @@ def reference_mrt(h, total, eta, tau1):
 
 
 def reference_pour(link, total):
-    """``Link.pour`` as it was, with the powers at every call."""
+    """``Link.pour``: the water-filling powers of ``total`` and their bits."""
     log_sum, _, inv_sum, theta, inv = link._sorted
     k = int(np.searchsorted(theta, total))
     a = (total + inv_sum[k - 1]) / k
     return k * math.log2(a) + log_sum[k - 1], 1.0 / (a * LN2), np.maximum(a - inv, 0.0)
-
-
-def reference_one_floor_slot(link, floor, budget_rate, total_time):
-    """``_one_floor_slot`` as it was: the powers of every Newton step, the
-    last one kept."""
-    total = float(np.add.reduce(link.fill(floor, total_time)[0]))
-    scale = link.scale * budget_rate * total_time
-    for _ in range(200):
-        g, grad, x = reference_pour(link, total)
-        slope = scale * grad - floor
-        step = (floor * (total + budget_rate) - scale * g) / slope if slope > 0.0 else math.nan
-        if not math.isfinite(step):
-            return None
-        if step <= 1e-13 * total:
-            return budget_rate * total_time / (total + budget_rate), x
-        total += step
-    return None
 
 
 def rel_diff(a, b) -> float:
@@ -195,48 +176,10 @@ def test_zero_channel_builds_no_table(monkeypatch):
     assert built[0] == 0
 
 
-def attempt(fn, *args):
-    try:
-        return fn(*args)
-    except Exception as exc:  # the same exception on both sides passes
-        return f"{type(exc).__name__}: {exc}"
-
-
-def as_bytes(result) -> object:
-    if not isinstance(result, tuple):
-        return result
-    tau2, x = result
-    return struct.pack("<d", tau2), x.dtype.str, x.tobytes()
-
-
-# zero SNRs, and SNRs from 1e-6 to 1e6
-snrs = st.one_of(st.just(0.0), st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(
-    snr=st.lists(snrs, min_size=1, max_size=8),
-    sensing=st.booleans(),
-    bits=st.floats(-4.0, 1.5),
-    budget=st.floats(-2.0, 4.0),
-)
-def test_one_floor_slot_is_the_search_with_powers_at_every_step(snr, sensing, bits, budget):
-    snr = np.array(snr)
-    assume(snr.any())
-    link = Link(snr, 0.5 * DF if sensing else DF)
-    floor = link.scale * T_TOTAL * snr.size * 10.0**bits
-    # a slot search runs where the floor is met at T (its prediction gate)
-    assume(math.isfinite(link.fill(floor, T_TOTAL)[1]))
-    budget_rate = 10.0**budget
-    got = attempt(_one_floor_slot, link, floor, budget_rate, T_TOTAL)
-    want = attempt(reference_one_floor_slot, link, floor, budget_rate, T_TOTAL)
-    assert as_bytes(got) == as_bytes(want)
-
-
 @pytest.mark.parametrize("total", [1e-9, 1.0, 1e6])
-def test_pour_level_gives_the_poured_powers(total):
+def test_pour_is_the_reference_bit_for_bit(total):
     link = Link(np.array([0.0, 1e-3, 1.0, 30.0]), DF)
-    g, grad, level = link.pour(total)
-    g_ref, grad_ref, x = reference_pour(link, total)
+    g, grad, x = link.pour(total)
+    g_ref, grad_ref, x_ref = reference_pour(link, total)
     assert (g, grad) == (g_ref, grad_ref)
-    assert link.powers(level).tobytes() == x.tobytes()
+    assert x.tobytes() == x_ref.tobytes()

@@ -1,11 +1,11 @@
 """The predicted start of the ``op`` time-split search.
 
-Where both floors bind at ``T``, ``solve`` first predicts the slot: from
-each floor's own slot where the other floor holds there, else from a
+Where both floors bind at ``T``, ``solve`` first predicts the slot by a
 Newton search in the scaled multipliers at ``tau2 = 1``
 (``_predicted_slot``).  The time-split search then starts next to the
-prediction and keeps its certificates.  ``t_start_solve`` is the search
-without a prediction, from ``T``, as it ran before.
+prediction and keeps its certificates.  Where the optimum binds one floor
+alone the search has no root and declines.  ``t_start_solve`` is the
+search without a prediction, from ``T``, as it ran before.
 """
 import math
 from dataclasses import replace
@@ -19,7 +19,6 @@ from wpirc.model import harvest_rate
 from wpirc.sim import sample_channel, trial_seed
 from wpirc.solver import (
     TIME_TOL,
-    _one_floor_slot,
     _predicted_slot,
     _solve_batch,
     _warm_start,
@@ -149,52 +148,84 @@ def test_infeasible_channel_stays_infeasible():
     assert batch.status is SolveStatus.INFEASIBLE
 
 
-def near_single_floor_row():
-    # a sweep-n128 row that binds both floors at T and the MI floor alone
-    # at the optimum (master seed 15, MI floor 201.1 bits)
+def single_floor_row(seed, index):
+    """A ``sweep-n128`` row: master seed ``seed``, MI floor ``index`` of the
+    10 floors 30...250 bits."""
     params, _ = shape_instance("sweep-n128", 0)
-    params = replace(params, mi_floor=float(np.linspace(30.0, 250.0, 10)[7]))
-    return params, sample_channel(trial_seed(15, 0), params, 10.0, 10.0)
+    params = replace(params, mi_floor=float(np.linspace(30.0, 250.0, 10)[index]))
+    return params, sample_channel(trial_seed(seed, 0), params, 10.0, 10.0)
 
 
-def test_one_floor_slot_that_meets_the_other_floor_is_predicted_free(monkeypatch):
-    params, chan = near_single_floor_row()
+# the sweep-n128 rows that bind both floors at T and one floor alone at
+# the optimum
+@pytest.mark.parametrize("seed, index", [(15, 7), (19, 8), (23, 7)])
+def test_a_single_floor_optimum_is_not_predicted(monkeypatch, seed, index):
+    params, chan = single_floor_row(seed, index)
     assert inner_allocation(T_TOTAL, chan, params).active == "both"
-    calls = count_profile_evaluations(monkeypatch)
     first = wpirc.solver._run(
         _predicted_slot(params, chan, links(chan, params.delta_f)),
         wpirc.solver._jacobian_kernel(chan, params.delta_f),
     )
-    assert calls[0] == 0 and first[1] is None
-    sol = solve(params, chan)
-    assert calls[0] == 0
+    assert first is None
     reference = t_start_solve(monkeypatch, params, chan)
-    assert sol.energy == pytest.approx(reference.energy, rel=1e-8, abs=0.0)
-    assert abs(sol.tau2 - reference.tau2) <= TIME_TOL * T_TOTAL
-    assert inner_allocation(sol.tau2, chan, params).active == "mi"
+    same_bits(solve(params, chan), reference)
+    (batch,) = _solve_batch([params], chan)
+    same_bits(batch, reference)
+    assert inner_allocation(reference.tau2, chan, params).active in ("mi", "rate")
+
+
+def one_floor_slot(link, floor, budget_rate, total_time):
+    """The largest slot at which ``link``'s floor alone is met within the
+    budget, with its powers, or ``None``: Newton steps in the total power
+    ``S`` on the concave ``scale B T G(S) - floor (S + B)``, from the
+    powers that meet the floor at ``T``, with the budget binding at
+    ``tau2 = B T / (S + B)``."""
+    total = float(np.add.reduce(link.fill(floor, total_time)[0]))
+    scale = link.scale * budget_rate * total_time
+    for _ in range(200):
+        g, grad, x = link.pour(total)
+        slope = scale * grad - floor
+        step = (floor * (total + budget_rate) - scale * g) / slope if slope > 0.0 else math.nan
+        if not math.isfinite(step):
+            return None
+        if step <= 1e-13 * total:
+            return budget_rate * total_time / (total + budget_rate), x
+        total += step
+    return None
 
 
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("floor", ["mi_floor", "rate_floor"])
-def test_one_floor_slot_is_the_single_floor_optimum(seed, floor):
+def test_single_floor_optimum_is_the_one_floor_slot(monkeypatch, seed, floor):
     params, chan = shape_instance("sweep-n128", seed)
     alone = replace(params, **{"rate_floor" if floor == "mi_floor" else "mi_floor": 0.0})
-    radar, comm = links(chan, params.delta_f)
+    radar, comm = pair = links(chan, params.delta_f)
     link = radar if floor == "mi_floor" else comm
-    tau2, x = _one_floor_slot(link, getattr(params, floor), harvest_rate(params, chan), T_TOTAL)
+    # with one floor, no prediction is made and no profile is evaluated
+    calls = count_profile_evaluations(monkeypatch)
+    first = wpirc.solver._run(
+        _predicted_slot(alone, chan, pair), wpirc.solver._jacobian_kernel(chan, params.delta_f)
+    )
+    assert first is None
     sol = solve(alone, chan)
+    assert calls[0] == 0
+    tau2, x = one_floor_slot(link, getattr(params, floor), harvest_rate(params, chan), T_TOTAL)
     # the search stops within one step of TIME_TOL * T below the root,
     # give or take its rounding
     assert abs(tau2 - sol.tau2) <= 2 * TIME_TOL * T_TOTAL
     assert link.bits(x, tau2) == pytest.approx(getattr(params, floor), rel=1e-12)
+    assert inner_allocation(sol.tau2, chan, alone).active == floor.split("_")[0]
 
 
-def test_one_floor_slot_out_of_reach_is_none():
+def test_single_floor_out_of_reach_is_infeasible():
     params, chan = shape_instance("sweep-n128", 0)
     radar, _ = links(chan, params.delta_f)
     budget_rate = harvest_rate(params, chan)
     # more bits than any split can buy: at most scale tau2 sum log2(1 + B T
     # s / tau2) with all the budget on every subcarrier, rising in tau2
     reach = radar.scale * T_TOTAL * float(np.sum(np.log2(1.0 + budget_rate * radar.snr)))
-    floor = 1.01 * reach
-    assert _one_floor_slot(radar, floor, budget_rate, T_TOTAL) is None
+    alone = replace(params, mi_floor=1.01 * reach, rate_floor=0.0)
+    assert one_floor_slot(radar, alone.mi_floor, budget_rate, T_TOTAL) is None
+    assert solve(alone, chan).status is SolveStatus.INFEASIBLE
+    (batch,) = _solve_batch([alone], chan)
+    assert batch.status is SolveStatus.INFEASIBLE

@@ -32,8 +32,7 @@ configs (on its default grid of 200 time splits), the
 stacked ``_floor_jacobian`` calls of ``_solve_batch`` over the 24 ``sweep-n128``
 trials (master seeds 0-23, one trial each) and the most that one of those
 trials makes, the beam tables (``solver._Beam.unit``) built per sweep trial
-(its ``op`` and ``eq`` rows together), the ``Link.powers`` calls per
-``_one_floor_slot`` call in those trials, and the outcomes of the ``op``
+(its ``op`` and ``eq`` rows together), and the outcomes of the ``op``
 slot prediction (``PredictorOutcomes``) on the ``solve-n1024`` solves and on
 the sweep trials' rows.  A count reads ``-`` for a tree without what it
 counts.  Each repeats exactly.
@@ -264,11 +263,13 @@ class CountingNumpy:
 class PredictorOutcomes:
     """Outcomes of the slot prediction that starts each ``op`` time-split
     search where both floors bind at ``T``: ``one_floor`` (one floor's own
-    slot meets the other floor), ``converged`` (the reduced multiplier
-    search), ``declined`` (no prediction), ``restarted`` (a prediction
-    whose first probe certified nothing, so the search began again at
-    ``T``) and ``certified`` (a predicted search that returns an optimum at
-    its first probe).  ``probes`` counts the time-split probes of every search."""
+    slot meets the other floor; a stage of older trees, kept so that their
+    predictions are not counted as ``converged``), ``converged`` (the
+    reduced multiplier search), ``declined`` (no prediction), ``restarted``
+    (a prediction whose first probe certified nothing, so the search began
+    again at ``T``) and ``certified`` (a predicted search that returns an
+    optimum at its first probe).  ``probes`` counts the time-split probes
+    of every search."""
 
     NAMES = ("one_floor", "converged", "declined", "restarted", "certified")
 
@@ -389,11 +390,7 @@ def counts(wpirc) -> str:
             solve_outcomes = outcomes.take()
             # a beam table is built by its cached_property's func
             unit = getattr(getattr(solver, "_Beam", None), "unit", None)
-            with (
-                Tally(unit, "func") as tables,
-                Tally(solver.Link, "powers") as powers,
-                Tally(solver, "_one_floor_slot") as slots,
-            ):
+            with Tally(unit, "func") as tables:
                 for seed in range(24):
                     chan = wpirc.sim.sample_channel(wpirc.sim.trial_seed(seed, 0), base, 10.0, 10.0)
                     solver._solve_batch(rows, chan)
@@ -417,7 +414,6 @@ def counts(wpirc) -> str:
         f" sweep_stacked_calls {calls[0]}"
         f" sweep_trial_calls_max {max(trial_calls)}"
         f" beam_tables_per_trial {tables.per(len(trial_calls))}"
-        f" powers_per_one_floor_slot {powers.per(slots.calls)}"
         f" predictor({'/'.join(PredictorOutcomes.NAMES)})"
         f" solve {solve_outcomes} sweep {sweep_outcomes}"
     )
