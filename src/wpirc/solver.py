@@ -313,7 +313,7 @@ def _inner_steps(
     data links (:func:`links`)."""
     if tau2 <= 0:
         raise ValueError("tau2 must be positive")
-    single, lam_r1, lam_c1 = _single_floor(tau2, pair, params)
+    single, lam_r1, lam_c1, _, _ = _single_floor(tau2, pair, params)
     if single is not None:
         return single
     lam_r, lam_c, gamma, mi, rate, jacobian = yield from _both_floor_multipliers(
@@ -327,16 +327,20 @@ def _inner_steps(
 
 def _single_floor(
     tau2: float, pair: tuple[Link, Link], params: SystemParams
-) -> tuple[Optional[InnerResult], float, float]:
+) -> tuple[Optional[InnerResult], float, float, float, float]:
     """The inner allocation at ``tau2`` where at most one floor binds, in
-    closed form (:meth:`Link.fill`), else ``None``; and the single-floor
-    multipliers, which bound the search where both bind."""
+    closed form (:meth:`Link.fill`), else ``None``; the single-floor
+    multipliers, which bound the search where both bind; and the sensing
+    MI and data rate that the checks found.  Those are the allocation's
+    where one floor binds.  Where both bind, they are the MI of the rate
+    floor's own water-fill and the rate of the MI floor's, each short of
+    the other floor."""
     radar, comm = pair
     r_r, r_c = params.mi_floor, params.rate_floor
 
     if r_r == 0.0 and r_c == 0.0:
         zero = np.zeros_like(radar.snr)
-        return _inner_result(zero, 0.0, 0.0, 0.0, 0.0, tau2, params, "none"), 0.0, 0.0
+        return _inner_result(zero, 0.0, 0.0, 0.0, 0.0, tau2, params, "none"), 0.0, 0.0, 0.0, 0.0
 
     tol_r = DUAL_TOL * max(1.0, r_r)
     tol_c = DUAL_TOL * max(1.0, r_c)
@@ -349,14 +353,16 @@ def _single_floor(
         rate = comm.bits(x, tau2) if lam_r1 < math.inf else math.inf
         if rate >= r_c - tol_c:
             mi = radar.bits(x, tau2) if lam_r1 < math.inf else math.inf
-            return _inner_result(tau2 * x, lam_r1, 0.0, mi, rate, tau2, params, "mi"), lam_r1, 0.0
+            single = _inner_result(tau2 * x, lam_r1, 0.0, mi, rate, tau2, params, "mi")
+            return single, lam_r1, 0.0, mi, rate
     if r_c > 0.0:
         x, lam_c1 = comm.fill(r_c, tau2)
         mi = radar.bits(x, tau2) if lam_c1 < math.inf else math.inf
         if mi >= r_r - tol_r:
             rate = comm.bits(x, tau2) if lam_c1 < math.inf else math.inf
-            return _inner_result(tau2 * x, 0.0, lam_c1, mi, rate, tau2, params, "rate"), 0.0, lam_c1
-    return None, lam_r1, lam_c1
+            single = _inner_result(tau2 * x, 0.0, lam_c1, mi, rate, tau2, params, "rate")
+            return single, 0.0, lam_c1, mi, rate
+    return None, lam_r1, lam_c1, mi, rate
 
 
 def _inner_result(
@@ -603,26 +609,30 @@ def _predicted_slot(
     evaluations already.  The reduced multiplier search
     (:func:`_reduced_multipliers`) then predicts the slot where both floors
     bind and the inner allocation that the first probe starts from; it
-    yields ``(mu_r, mu_c, 1.0)`` requests to :func:`_jacobian_kernel`.
-    Where the optimum binds one floor alone, or no slot meets both, that
-    search has no root and declines, and the search from ``T`` decides.
+    yields ``(mu_r, mu_c, 1.0)`` requests to :func:`_jacobian_kernel`.  Its
+    start is each single-floor multiplier at ``T`` times the share of its
+    floor that the other floor's water-fill leaves unmet, in (0, 1] where
+    both bind.  Where the optimum binds one floor alone, or no slot meets
+    both, that search has no root and declines, and the search from ``T``
+    decides.
     """
     _validate_instance(params, chan)
     budget_rate = harvest_rate(params, chan)
     r_r, r_c = params.mi_floor, params.rate_floor
     if not (r_r > 0.0 and r_c > 0.0 and budget_rate > 0.0):
         return None
-    single, lam_r1, lam_c1 = _single_floor(params.total_time, pair, params)
+    single, lam_r1, lam_c1, mi, rate = _single_floor(params.total_time, pair, params)
     if single is not None:
         return None
-    return (yield from _reduced_multipliers(params, budget_rate, lam_r1, lam_c1))
+    start = lam_r1 * (1.0 - mi / r_r), lam_c1 * (1.0 - rate / r_c)
+    return (yield from _reduced_multipliers(params, budget_rate, start, (lam_r1, lam_c1)))
 
 
 PREDICT_CALLS = 14  # profile evaluations that a reduced search may spend
 
 
 def _reduced_multipliers(
-    params: SystemParams, budget_rate: float, mu_r: float, mu_c: float
+    params: SystemParams, budget_rate: float, start: tuple, fallback: tuple
 ) -> Generator[tuple, tuple, Optional[tuple]]:
     """The slot and inner allocation where both floors bind at the optimum,
     from a search in the scaled multipliers ``mu`` alone, or ``None``.
@@ -637,24 +647,35 @@ def _reduced_multipliers(
     ``mu`` and the profile ``tau2 x``; its MI, rate and slopes are ``tau2``
     times those at 1.
 
-    Newton steps in ``log mu`` start at ``(mu_r, mu_c)``, the single-floor
-    multipliers at ``T``; a step's largest component is capped at 0.7, and
-    a step that does not lower the larger normalized residual is halved.
+    Newton steps in ``log mu`` start at ``start``, the deficit-scaled
+    single-floor multipliers at ``T`` (:func:`_predicted_slot`), or at
+    ``fallback``, the single-floor multipliers, where the profile at
+    ``start`` is active on fewer than two subcarriers: its Jacobian is
+    singular there, and no root's is, as both floors cannot bind on one
+    subcarrier.  A step's largest component is capped at 0.7, and a step
+    that does not lower the larger normalized residual is halved.
     Where both floors are met to ``1e4 * DUAL_TOL * max(1, floor)``, the
     next Newton step would land within about the square of that, far inside
     ``TIME_TOL * T / 2``, so it is not evaluated: the predicted slot is
-    ``tau2`` after it, to first order in ``sum x``, and the start is the
-    allocation evaluated last, from which the first probe's warm start
+    ``tau2`` after it, to first order in ``sum x``, and the first probe
+    starts from the allocation evaluated last, from which its warm start
     (:func:`_warm_start`) takes that step in the multipliers.  The search
-    gives up after two halvings in a row or ``PREDICT_CALLS`` evaluations,
-    as past the frontier, where ``G`` has no root.
+    gives up after three accepted steps in a row that lower one multiplier
+    by the full cap, as where the optimum binds one floor alone and that
+    multiplier heads for 0; after two halvings in a row; or after
+    ``PREDICT_CALLS`` evaluations, as past the frontier, where ``G`` has no
+    root.
     """
     r_r, r_c, total_time = params.mi_floor, params.rate_floor, params.total_time
     tol_r = DUAL_TOL * max(1.0, r_r)
     tol_c = DUAL_TOL * max(1.0, r_c)
-    base, step, best, halvings = (mu_r, mu_c), (0.0, 0.0), math.inf, 0
-    for _ in range(PREDICT_CALLS):
+    base = mu_r, mu_c = start
+    step, best, halvings, falls = (0.0, 0.0), math.inf, 0, 0
+    for calls in range(PREDICT_CALLS):
         gamma, mi, rate, j_rr, j_rc, j_cc = yield mu_r, mu_c, 1.0
+        if not calls and np.count_nonzero(gamma) < 2:
+            base = mu_r, mu_c = fallback
+            continue
         denom = float(np.add.reduce(gamma)) + budget_rate
         tau2 = budget_rate * total_time / denom
         e_r, e_c = tau2 * mi - r_r, tau2 * rate - r_c
@@ -680,7 +701,12 @@ def _reduced_multipliers(
                     tau2 * gamma, mu_r, mu_c, tau2 * mi, tau2 * rate, tau2, params, "both", jacobian
                 )
                 return budget_rate * total_time / (denom + moved), here
-            cap = min(1.0, 0.7 / max(abs(d_r), abs(d_c)))
+            largest = max(abs(d_r), abs(d_c))
+            cap = min(1.0, 0.7 / largest)
+            # a multiplier that falls at the cap step after step heads for 0
+            falls = falls + 1 if cap < 1.0 and min(d_r, d_c) == -largest else 0
+            if falls == 3:
+                return None
             step = (cap * d_r, cap * d_c)
         elif halvings == 2:
             return None
@@ -896,7 +922,7 @@ def _outer_steps(
     steps = 0
     while steps <= MAX_ITER:
         gamma, slope, start = yield from answer(params, tau2, start)
-        total = float(np.sum(gamma))
+        total = float(np.add.reduce(gamma))
         margin = total - budget_rate * (total_time - tau2)
         if predicted and margin <= 0.0 and isinstance(start, InnerResult):
             lam = start.duals

@@ -12,20 +12,23 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import wpirc.solver
-from wpirc import SolveStatus, inner_allocation, solve
+from wpirc import ChannelRealization, SolveStatus, inner_allocation, solve
 from wpirc.model import harvest_rate
 from wpirc.sim import sample_channel, trial_seed
 from wpirc.solver import (
     TIME_TOL,
     _predicted_slot,
+    _single_floor,
     _solve_batch,
     _warm_start,
     links,
 )
 
-from conftest import T_TOTAL
+from conftest import DF, T_TOTAL, make_params
 from test_multiplier_search import shape_instance
 
 
@@ -69,13 +72,14 @@ def count_profile_evaluations(monkeypatch):
 
 
 def test_prediction_halves_the_profile_evaluations(monkeypatch):
-    # 14 per solve from T on these channels; the prediction and one probe
-    # of one evaluation leave about 7
+    # 14 per solve from T on these channels; the prediction, started at the
+    # deficit-scaled single-floor multipliers, and one probe of one
+    # evaluation leave about 5
     calls = count_profile_evaluations(monkeypatch)
     for seed in range(8):
         params, chan = shape_instance("solve-n1024", seed)
         assert solve(params, chan).status is SolveStatus.OPTIMAL
-    assert calls[0] / 8 <= 10
+    assert calls[0] / 8 <= 6
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -162,16 +166,94 @@ def single_floor_row(seed, index):
 def test_a_single_floor_optimum_is_not_predicted(monkeypatch, seed, index):
     params, chan = single_floor_row(seed, index)
     assert inner_allocation(T_TOTAL, chan, params).active == "both"
+    calls = count_profile_evaluations(monkeypatch)
     first = wpirc.solver._run(
         _predicted_slot(params, chan, links(chan, params.delta_f)),
         wpirc.solver._jacobian_kernel(chan, params.delta_f),
     )
     assert first is None
+    # the reduced search declines after three steps at the cap that lower
+    # one multiplier, well before PREDICT_CALLS
+    assert calls[0] <= 5
     reference = t_start_solve(monkeypatch, params, chan)
     same_bits(solve(params, chan), reference)
     (batch,) = _solve_batch([params], chan)
     same_bits(batch, reference)
     assert inner_allocation(reference.tau2, chan, params).active in ("mi", "rate")
+
+
+def oracle_row(seed):
+    """Config ``seed`` of the ``oracle-n2`` workload: N_c 2, N_t 2, 10 dB
+    / 10 dB, floors from U(5, 40) bits."""
+    mi_floor, rate_floor = np.random.default_rng(1).uniform(5.0, 40.0, (32, 2))[seed]
+    params = make_params(n_subcarriers=2, n_antennas=2, mi_floor=mi_floor, rate_floor=rate_floor)
+    return params, sample_channel(seed, params, 10.0, 10.0)
+
+
+# the oracle-n2 configs whose deficit-scaled start has a profile on fewer
+# than two subcarriers: a singular Jacobian, from which the search
+# declines (7) or halves its way to a decline (3, 28)
+@pytest.mark.parametrize("seed", [3, 7, 28])
+def test_a_start_on_one_subcarrier_restarts_at_the_single_floor_multipliers(monkeypatch, seed):
+    params, chan = oracle_row(seed)
+    pair = links(chan, params.delta_f)
+    kernel = wpirc.solver._jacobian_kernel(chan, params.delta_f)
+    single, lam_r1, lam_c1, mi, rate = _single_floor(T_TOTAL, pair, params)
+    assert single is None
+    mu_r, mu_c = lam_r1 * (1.0 - mi / params.mi_floor), lam_c1 * (1.0 - rate / params.rate_floor)
+    assert np.count_nonzero(wpirc.solver._gamma_profile(mu_r, mu_c, 1.0, kernel)) < 2
+    calls = count_profile_evaluations(monkeypatch)
+    first = wpirc.solver._run(_predicted_slot(params, chan, pair), kernel)
+    # one evaluation more than a search from the single-floor multipliers
+    assert first is not None and calls[0] <= 7
+    reference = t_start_solve(monkeypatch, params, chan)
+    sol = solve(params, chan)
+    assert sol.status is reference.status is SolveStatus.OPTIMAL
+    assert sol.energy == pytest.approx(reference.energy, rel=1e-8, abs=0.0)
+    assert abs(sol.tau2 - reference.tau2) <= 2 * TIME_TOL * T_TOTAL
+
+
+snrs = st.floats(min_value=-10.0, max_value=20.0).map(lambda db: 10.0 ** (db / 10.0))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([16, 64, 128]),
+    data=st.data(),
+    levels=st.tuples(st.floats(min_value=-1.0, max_value=1.5), st.floats(-1.0, 1.5)),
+    budget=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_two_floor_prediction_matches_the_search_from_t(n, data, levels, budget):
+    radar = np.array(data.draw(st.lists(snrs, min_size=n, max_size=n), label="radar"))
+    comm = np.array(data.draw(st.lists(snrs, min_size=n, max_size=n), label="comm"))
+    # floors that the profile of two positive multipliers meets at T with
+    # equality bind both there; at level 0 each multiplier alone puts the
+    # water level at an SNR of 1
+    lam_r = 2.0 * math.log(2.0) / DF * 10.0 ** levels[0]
+    lam_c = math.log(2.0) / DF * 10.0 ** levels[1]
+    kernel = wpirc.solver._Kernel(radar, comm, DF)
+    x = wpirc.solver._gamma_profile(lam_r, lam_c, T_TOTAL, kernel) / T_TOTAL
+    shape = ChannelRealization(h=[1.0 + 0j], radar_snr=radar, comm_snr=comm)
+    radar_link, comm_link = links(shape, DF)
+    params = make_params(
+        n_subcarriers=n,
+        n_antennas=1,
+        mi_floor=radar_link.bits(x, T_TOTAL),
+        rate_floor=comm_link.bits(x, T_TOTAL),
+    )
+    # a harvest rate 1...1000 times the power at T: from no slot that
+    # meets both floors to a slot near T
+    gain = math.sqrt(10.0**budget * float(np.sum(x)) / (params.efficiency * params.power_cap))
+    chan = ChannelRealization(h=[gain + 0j], radar_snr=radar, comm_snr=comm)
+    assume(inner_allocation(T_TOTAL, chan, params).active == "both")
+    sol = solve(params, chan)
+    reference = t_start_solve(pytest.MonkeyPatch(), params, chan)
+    assert sol.status is reference.status
+    if sol.status is SolveStatus.OPTIMAL:
+        assert sol.energy == pytest.approx(reference.energy, rel=1e-8, abs=0.0)
+        assert abs(sol.tau2 - reference.tau2) <= 2 * TIME_TOL * T_TOTAL
+    (batch,) = _solve_batch([params], chan)
+    same_bits(batch, sol)
 
 
 def one_floor_slot(link, floor, budget_rate, total_time):

@@ -32,9 +32,11 @@ configs (on its default grid of 200 time splits), the
 stacked ``_floor_jacobian`` calls of ``_solve_batch`` over the 24 ``sweep-n128``
 trials (master seeds 0-23, one trial each) and the most that one of those
 trials makes, the beam tables (``solver._Beam.unit``) built per sweep trial
-(its ``op`` and ``eq`` rows together), and the outcomes of the ``op``
-slot prediction (``PredictorOutcomes``) on the ``solve-n1024`` solves and on
-the sweep trials' rows.  A count reads ``-`` for a tree without what it
+(its ``op`` and ``eq`` rows together), the profile evaluations that the
+``op`` slot prediction asks for per prediction (``predict_calls``, as
+``solve/sweep``), and the outcomes of that prediction
+(``PredictorOutcomes``), both on the ``solve-n1024`` solves and on the
+sweep trials' rows.  A count reads ``-`` for a tree without what it
 counts.  Each repeats exactly.
 
 The sets are the benchmark workloads' inputs plus a random set:
@@ -74,6 +76,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from typing import Generator
 
 import numpy as np
 import yaml
@@ -260,6 +263,22 @@ class CountingNumpy:
         return np.log1p(x, *args, **kwargs)
 
 
+def requests_counted(steps: Generator, tally: list) -> Generator:
+    """The search ``steps`` with its requests counted in ``tally[0]``; an
+    exception as an answer is thrown into it, as ``_run_batch`` does."""
+    answer = None
+    while True:
+        try:
+            if isinstance(answer, Exception):
+                request = steps.throw(answer)
+            else:
+                request = steps.send(answer)
+        except StopIteration as stop:
+            return stop.value
+        tally[0] += 1
+        answer = yield request
+
+
 class PredictorOutcomes:
     """Outcomes of the slot prediction that starts each ``op`` time-split
     search where both floors bind at ``T``: ``one_floor`` (one floor's own
@@ -269,7 +288,8 @@ class PredictorOutcomes:
     (a prediction whose first probe certified nothing, so the search began
     again at ``T``) and ``certified`` (a predicted search that returns an
     optimum at its first probe).  ``probes`` counts the time-split probes
-    of every search."""
+    of every search, and ``asked`` the profile evaluations that the
+    predictions request."""
 
     NAMES = ("one_floor", "converged", "declined", "restarted", "certified")
 
@@ -280,13 +300,14 @@ class PredictorOutcomes:
         self.outer = solver._outer_steps
         self.tally = dict.fromkeys(self.NAMES, 0)
         self.probes = 0
+        self.asked = [0]
 
     def predicted_slot(self, params, chan, pair):
-        first = yield from self.predict(params, chan, pair)
+        first = yield from requests_counted(self.predict(params, chan, pair), self.asked)
         if first is not None:
             self.tally["one_floor" if first[1] is None else "converged"] += 1
         elif params.mi_floor > 0.0 and params.rate_floor > 0.0:
-            single, _, _ = self.solver._single_floor(params.total_time, pair, params)
+            single, *_ = self.solver._single_floor(params.total_time, pair, params)
             self.tally["declined"] += single is None
         return first
 
@@ -316,12 +337,16 @@ class PredictorOutcomes:
         if self.predict is not None:
             self.solver._predicted_slot = self.predict
 
-    def take(self) -> str:
+    def take(self) -> tuple[str, str]:
+        """The outcomes so far and the evaluations per prediction (the
+        ``one_floor``, ``converged`` and ``declined`` ones), then a reset."""
         if self.predict is None:
-            return "-"
+            return "-", "-"
         line = "/".join(str(self.tally[n]) for n in self.NAMES)
-        self.tally = dict.fromkeys(self.NAMES, 0)
-        return line
+        predictions = sum(self.tally[n] for n in self.NAMES[:3])
+        per = f"{self.asked[0] / predictions:.2f}" if predictions else "-"
+        self.tally, self.asked[0] = dict.fromkeys(self.NAMES, 0), 0
+        return line, per
 
 
 class Tally:
@@ -387,7 +412,7 @@ def counts(wpirc) -> str:
             per_solve, calls[0] = calls[0] / len(channels), 0
             pairs_per_solve = links_built[0] / 2 / len(channels)
             probes_per_solve = outcomes.probes / len(channels)
-            solve_outcomes = outcomes.take()
+            solve_outcomes, solve_asked = outcomes.take()
             # a beam table is built by its cached_property's func
             unit = getattr(getattr(solver, "_Beam", None), "unit", None)
             with Tally(unit, "func") as tables:
@@ -396,7 +421,7 @@ def counts(wpirc) -> str:
                     solver._solve_batch(rows, chan)
                     trial_calls.append(calls[0] - sum(trial_calls))
                     wpirc.benchmark._eq_solve_batch(rows, chan)
-            sweep_outcomes = outcomes.take()
+            sweep_outcomes, sweep_asked = outcomes.take()
         solver.np = numpy
         for chan in channels:
             wpirc.eq_solve(params, chan)
@@ -414,6 +439,7 @@ def counts(wpirc) -> str:
         f" sweep_stacked_calls {calls[0]}"
         f" sweep_trial_calls_max {max(trial_calls)}"
         f" beam_tables_per_trial {tables.per(len(trial_calls))}"
+        f" predict_calls {solve_asked}/{sweep_asked}"
         f" predictor({'/'.join(PredictorOutcomes.NAMES)})"
         f" solve {solve_outcomes} sweep {sweep_outcomes}"
     )
